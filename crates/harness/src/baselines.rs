@@ -17,20 +17,19 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use wbe_heap::gc::MarkStyle;
-use wbe_heap::{FaultConfig, FaultPlan, RecoveryPolicy};
-use wbe_interp::{BarrierConfig, BarrierMode, EngineKind, GcPolicy, Interp, Value};
+use wbe_heap::{FaultConfig, RecoveryPolicy};
+use wbe_interp::EngineKind;
 use wbe_opt::{OptMode, PipelineConfig};
 use wbe_telemetry::json::ObjWriter;
 
-use crate::runner::compile_workload_with;
+use crate::runner::{Iterations, RunSpec};
 
 /// Default location of the committed baseline file, relative to the
 /// repository root.
 pub const DEFAULT_PATH: &str = "baselines/suite.ndjson";
 
 /// The scale baselines are measured at (multiplies each workload's
-/// default iteration count, matching the bench crate's reduced scale).
+/// default iteration count).
 pub const SCALE: f64 = 0.1;
 
 /// Pinned fault seed for the recovery probe: the baseline's recovery
@@ -216,22 +215,16 @@ fn oracle_probe(scale: f64) -> Vec<OracleBaseline> {
     let mut rows = Vec::new();
     for name in ["jess", "jbb"] {
         let w = wbe_workloads::by_name(name).expect("bench workload exists");
-        let cfg = PipelineConfig::new(OptMode::Full, 100);
-        let (compiled, elided) = compile_workload_with(&w, &cfg);
-        let iters = ((w.default_iters as f64 * scale) as i64).max(8);
-        for kind in [EngineKind::Classic, EngineKind::Compiled] {
-            let bc = BarrierConfig::with_elision(BarrierMode::Checked, elided.clone());
-            let mut engine = kind.build(&compiled.program, bc, MarkStyle::Satb);
-            engine.set_oracle(true);
-            engine.set_gc_policy(GcPolicy {
-                alloc_trigger: 400,
-                step_interval: 32,
-                step_budget: 4,
-            });
-            engine
-                .run(w.entry, &[Value::Int(iters)], w.fuel_for(iters))
-                .unwrap_or_else(|t| panic!("oracle probe {name} trapped: {t}"));
-            let o = engine.oracle().expect("probe enabled the oracle");
+        for engine in [EngineKind::Classic, EngineKind::Compiled] {
+            let run = RunSpec {
+                engine,
+                iterations: Iterations::scaled(scale),
+                oracle: true,
+                ..RunSpec::default()
+            }
+            .run(&w)
+            .unwrap();
+            let o = run.oracle.as_ref().expect("probe enabled the oracle");
             let (mut necessary, mut sole, mut shielded, mut never) = (0, 0, 0, 0);
             for sn in o.sites.values() {
                 necessary += sn.necessary;
@@ -241,14 +234,10 @@ fn oracle_probe(scale: f64) -> Vec<OracleBaseline> {
                     never += 1;
                 }
             }
-            let witness = engine
-                .heap()
-                .witness
-                .as_ref()
-                .expect("oracle enables witnesses");
+            let witness = run.heap.witness.as_ref().expect("oracle enables witnesses");
             rows.push(OracleBaseline {
                 bench: name.to_string(),
-                engine: kind.name().to_string(),
+                engine: engine.name().to_string(),
                 executions: o.total_executions(),
                 necessary,
                 never_sites: never,
@@ -272,29 +261,24 @@ fn throughput_probe() -> Vec<ThroughputBaseline> {
     let mut rows = Vec::new();
     for name in ["jess", "jbb"] {
         let w = wbe_workloads::by_name(name).expect("bench workload exists");
-        let cfg = PipelineConfig::new(OptMode::Full, 100);
-        let (compiled, elided) = compile_workload_with(&w, &cfg);
-        let chunk = (w.default_iters / 10).max(8);
-        for kind in [EngineKind::Classic, EngineKind::Compiled] {
-            let bc = BarrierConfig::with_elision(BarrierMode::Checked, elided.clone());
-            let mut engine = kind.build(&compiled.program, bc, MarkStyle::Satb);
-            engine.set_gc_policy(crate::throughput::GC_POLICY);
-            while engine.stats().insns < THROUGHPUT_OPS {
-                engine
-                    .run(w.entry, &[Value::Int(chunk)], w.fuel_for(chunk))
-                    .unwrap_or_else(|t| panic!("throughput probe {name} trapped: {t}"));
+        for engine in [EngineKind::Classic, EngineKind::Compiled] {
+            let run = RunSpec {
+                engine,
+                iterations: Iterations::Budget(THROUGHPUT_OPS),
+                ..RunSpec::default()
             }
-            let s = engine.stats();
+            .run(&w)
+            .unwrap();
             rows.push(ThroughputBaseline {
                 bench: name.to_string(),
-                engine: kind.name().to_string(),
-                insns: s.insns,
-                cycles: s.cycles,
-                barrier_cycles: s.barrier_cycles,
-                elided: s.elided_executions,
-                allocs: engine.heap().stats.allocations,
-                gc_cycles: engine.heap().gc.stats.cycles,
-                digest: wbe_heap::debug::world_digest(engine.heap()),
+                engine: engine.name().to_string(),
+                insns: run.stats.insns,
+                cycles: run.stats.cycles,
+                barrier_cycles: run.stats.barrier_cycles,
+                elided: run.stats.elided_executions,
+                allocs: run.heap.stats.allocations,
+                gc_cycles: run.gc().cycles,
+                digest: wbe_heap::debug::world_digest(&run.heap),
             });
         }
     }
@@ -305,45 +289,34 @@ fn throughput_probe() -> Vec<ThroughputBaseline> {
 /// eliminated) dynamic execution counts for suite-rate accumulation.
 fn measure_workload(w: &wbe_workloads::Workload, scale: f64) -> (WorkloadBaseline, u64, u64) {
     wbe_telemetry::registry::global().reset();
-    let cfg = PipelineConfig::new(OptMode::Full, 100).with_ledger();
-    let (compiled, elided) = compile_workload_with(w, &cfg);
-    let ledger = compiled.ledger.as_ref().expect("full mode builds a ledger");
-    let iters = ((w.default_iters as f64 * scale) as i64).max(8);
-    let bc = BarrierConfig::with_elision(BarrierMode::Checked, elided.clone());
-    let mut interp = Interp::with_style(&compiled.program, bc, MarkStyle::Satb);
-    interp.set_gc_policy(GcPolicy {
-        alloc_trigger: 400,
-        step_interval: 32,
-        step_budget: 4,
-    });
-    interp
-        .run(w.entry, &[Value::Int(iters)], w.fuel_for(iters))
-        .unwrap_or_else(|t| panic!("workload {} trapped: {t}", w.name));
-    let summary = interp.stats.barrier.summarize(&elided);
+    let run = RunSpec {
+        pipeline: PipelineConfig::new(OptMode::Full, 100).with_ledger(),
+        iterations: Iterations::scaled(scale),
+        ..RunSpec::default()
+    }
+    .run(w)
+    .unwrap();
+    let ledger = run
+        .build
+        .compiled
+        .ledger
+        .as_ref()
+        .expect("full mode builds a ledger");
+    let summary = run.summary();
     let snap = wbe_telemetry::registry::global().snapshot();
     let max_pause = snap
         .histogram("heap.gc.pause.work_units")
         .map_or(0, |h| h.max);
-    // Per-keep-code cycle attribution (same join as the profiler):
-    // the baseline pins the cost ranking's winner.
-    let ledger_index = ledger.index();
-    let mut code_cycles: std::collections::BTreeMap<String, u64> =
-        std::collections::BTreeMap::new();
-    for (&(mid, addr, _), stats) in interp.stats.barrier.iter() {
-        if elided.contains(mid, addr) {
-            continue;
-        }
-        let method = compiled.program.method(mid).name.as_str();
-        let code = ledger_index
-            .get(&(method, addr.block.index(), addr.index))
-            .filter(|rec| !rec.keep_code.is_empty())
-            .map_or_else(|| "unattributed".to_string(), |rec| rec.keep_code.clone());
-        *code_cycles.entry(code).or_insert(0) += stats.cycles;
+    // Per-keep-code cycle attribution (the profiler's join): the
+    // baseline pins the cost ranking's winner.
+    let mut code_cycles: std::collections::BTreeMap<&str, u64> = std::collections::BTreeMap::new();
+    for site in run.kept_sites() {
+        *code_cycles.entry(site.keep_code).or_insert(0) += site.stats.cycles;
     }
     let top_keep_code = code_cycles
         .iter()
         .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(a.0)))
-        .map(|(code, _)| code.clone())
+        .map(|(code, _)| code.to_string())
         .unwrap_or_default();
     let row = WorkloadBaseline {
         workload: w.name.to_string(),
@@ -351,9 +324,9 @@ fn measure_workload(w: &wbe_workloads::Workload, scale: f64) -> (WorkloadBaselin
         static_elided: ledger.elided() as u64,
         dyn_total: summary.total(),
         dyn_elided: summary.eliminated(),
-        gc_cycles: interp.heap.gc.stats.cycles,
+        gc_cycles: run.gc().cycles,
         max_pause_bucket: bucket(max_pause),
-        kept_cycles: interp.stats.barrier.total_cycles(),
+        kept_cycles: run.stats.barrier.total_cycles(),
         top_keep_code,
     };
     (row, summary.total(), summary.eliminated())
@@ -366,26 +339,20 @@ fn measure_workload(w: &wbe_workloads::Workload, scale: f64) -> (WorkloadBaselin
 /// (attempted, succeeded) counters are exact and gate-able.
 fn recovery_probe() -> (u64, u64) {
     let w = wbe_workloads::by_name("db").expect("db is a standard workload");
-    let cfg = PipelineConfig::new(OptMode::Full, 100);
-    let (compiled, elided) = compile_workload_with(&w, &cfg);
-    let bc = BarrierConfig::with_elision(BarrierMode::Checked, elided);
-    let mut interp = Interp::with_style(&compiled.program, bc, MarkStyle::Satb);
-    interp.set_gc_policy(GcPolicy {
-        alloc_trigger: 64,
-        step_interval: 8,
-        step_budget: 4,
-    });
-    interp.set_fault_plan(FaultPlan::new(FaultConfig {
-        corrupt_mark_pm: RECOVERY_CORRUPT_PM,
-        ..FaultConfig::from_seed(RECOVERY_FAULT_SEED)
-    }));
-    interp.set_verify_invariants(true);
-    interp.set_recovery(RecoveryPolicy { max_attempts: 5 });
-    let iters = ((w.default_iters as f64 * RECOVERY_SCALE) as i64).max(8);
-    interp
-        .run(w.entry, &[Value::Int(iters)], w.fuel_for(iters))
-        .unwrap_or_else(|t| panic!("recovery probe trapped: {t}"));
-    let rc = interp.recovery().expect("probe installed a controller");
+    let run = RunSpec {
+        gc: Some(crate::soak::SOAK_GC),
+        iterations: Iterations::scaled(RECOVERY_SCALE),
+        faults: Some(FaultConfig {
+            corrupt_mark_pm: RECOVERY_CORRUPT_PM,
+            ..FaultConfig::from_seed(RECOVERY_FAULT_SEED)
+        }),
+        verify: true,
+        recovery: Some(RecoveryPolicy { max_attempts: 5 }),
+        ..RunSpec::default()
+    }
+    .run(&w)
+    .unwrap();
+    let rc = run.recovery.expect("probe installed a controller");
     (rc.stats.attempted, rc.stats.succeeded)
 }
 
@@ -491,13 +458,13 @@ impl BaselineSuite {
                     .and_then(|f| f.as_u64())
                     .ok_or_else(|| format!("line {}: missing integer '{k}'", lineno + 1))
             };
+            let get_str = |k: &str| -> Result<String, String> {
+                v.get(k)
+                    .and_then(|f| f.as_str())
+                    .map(str::to_string)
+                    .ok_or_else(|| format!("line {}: missing '{k}'", lineno + 1))
+            };
             if name == "__throughput__" {
-                let get_str = |k: &str| -> Result<String, String> {
-                    v.get(k)
-                        .and_then(|f| f.as_str())
-                        .map(str::to_string)
-                        .ok_or_else(|| format!("line {}: missing '{k}'", lineno + 1))
-                };
                 let digest_hex = get_str("digest")?;
                 let digest = u64::from_str_radix(digest_hex.trim_start_matches("0x"), 16)
                     .map_err(|e| format!("line {}: bad digest: {e}", lineno + 1))?;
@@ -515,12 +482,6 @@ impl BaselineSuite {
                 continue;
             }
             if name == "__oracle__" {
-                let get_str = |k: &str| -> Result<String, String> {
-                    v.get(k)
-                        .and_then(|f| f.as_str())
-                        .map(str::to_string)
-                        .ok_or_else(|| format!("line {}: missing '{k}'", lineno + 1))
-                };
                 suite.oracle.push(OracleBaseline {
                     bench: get_str("bench")?,
                     engine: get_str("engine")?,
@@ -543,11 +504,7 @@ impl BaselineSuite {
                 gc_cycles: get("gc_cycles")?,
                 max_pause_bucket: get("max_pause_bucket")?,
                 kept_cycles: get("kept_cycles")?,
-                top_keep_code: v
-                    .get("top_keep_code")
-                    .and_then(|f| f.as_str())
-                    .ok_or_else(|| format!("line {}: missing 'top_keep_code'", lineno + 1))?
-                    .to_string(),
+                top_keep_code: get_str("top_keep_code")?,
             });
         }
         Ok(suite)
@@ -641,72 +598,53 @@ pub fn compare(expected: &BaselineSuite, actual: &BaselineSuite) -> Vec<String> 
             expected.recoveries_succeeded, actual.recoveries_succeeded
         ));
     }
-    // Throughput probe rows are fully deterministic: exact equality,
-    // field by field.
-    for exp in &expected.throughput {
-        let Some(act) = actual
-            .throughput
-            .iter()
-            .find(|t| t.bench == exp.bench && t.engine == exp.engine)
-        else {
-            violations.push(format!(
-                "throughput {}/{}: missing from this run",
-                exp.bench, exp.engine
-            ));
-            continue;
-        };
-        if act != exp {
-            violations.push(format!(
-                "throughput {}/{}: expected {exp:?}, got {act:?}",
-                exp.bench, exp.engine
-            ));
-        }
-    }
-    for act in &actual.throughput {
-        if !expected
-            .throughput
-            .iter()
-            .any(|t| t.bench == act.bench && t.engine == act.engine)
-        {
-            violations.push(format!(
-                "throughput {}/{}: not in the baseline file (run with --update)",
-                act.bench, act.engine
-            ));
-        }
-    }
-    // Oracle probe rows are fully deterministic: exact equality.
-    for exp in &expected.oracle {
-        let Some(act) = actual
-            .oracle
-            .iter()
-            .find(|o| o.bench == exp.bench && o.engine == exp.engine)
-        else {
-            violations.push(format!(
-                "oracle {}/{}: missing from this run",
-                exp.bench, exp.engine
-            ));
-            continue;
-        };
-        if act != exp {
-            violations.push(format!(
-                "oracle {}/{}: expected {exp:?}, got {act:?}",
-                exp.bench, exp.engine
-            ));
-        }
-    }
-    for act in &actual.oracle {
-        if !expected
-            .oracle
-            .iter()
-            .any(|o| o.bench == act.bench && o.engine == act.engine)
-        {
-            violations.push(format!(
-                "oracle {}/{}: not in the baseline file (run with --update)",
-                act.bench, act.engine
-            ));
-        }
-    }
+    // Probe rows are fully deterministic: exact equality, field by
+    // field.
+    let (exp, act) = (&expected.throughput, &actual.throughput);
+    compare_exact(
+        "throughput",
+        exp,
+        act,
+        |t| (&t.bench, &t.engine),
+        &mut violations,
+    );
+    let (exp, act) = (&expected.oracle, &actual.oracle);
+    compare_exact(
+        "oracle",
+        exp,
+        act,
+        |o| (&o.bench, &o.engine),
+        &mut violations,
+    );
     violations
+}
+
+/// Exact-equality gate for probe rows keyed by `(bench, engine)`.
+fn compare_exact<T: PartialEq + std::fmt::Debug>(
+    what: &str,
+    expected: &[T],
+    actual: &[T],
+    key: fn(&T) -> (&String, &String),
+    violations: &mut Vec<String>,
+) {
+    for exp in expected {
+        let (bench, engine) = key(exp);
+        match actual.iter().find(|a| key(a) == key(exp)) {
+            None => violations.push(format!("{what} {bench}/{engine}: missing from this run")),
+            Some(act) if act != exp => violations.push(format!(
+                "{what} {bench}/{engine}: expected {exp:?}, got {act:?}"
+            )),
+            Some(_) => {}
+        }
+    }
+    for act in actual {
+        if !expected.iter().any(|e| key(e) == key(act)) {
+            let (bench, engine) = key(act);
+            violations.push(format!(
+                "{what} {bench}/{engine}: not in the baseline file (run with --update)"
+            ));
+        }
+    }
 }
 
 /// The `wbe_tool bench --check-baselines` driver: measures, then either
@@ -851,6 +789,18 @@ mod tests {
             b.engine.clear();
             assert_eq!(a, b, "{}: oracle engines disagree", pair[0].bench);
         }
+    }
+
+    /// The committed baseline file is exactly what this tree measures:
+    /// any change to a run's configuration or the NDJSON rendering
+    /// shows up here before the tolerance gate would notice it.
+    #[test]
+    fn committed_baselines_are_reproduced_byte_for_byte() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../..")
+            .join(DEFAULT_PATH);
+        let committed = std::fs::read_to_string(&path).expect("committed baseline file");
+        assert_eq!(measure(SCALE).to_ndjson(), committed);
     }
 
     #[test]

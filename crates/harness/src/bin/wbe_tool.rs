@@ -138,11 +138,8 @@
 
 use std::process::exit;
 
-use wbe_analysis::nullsame;
-use wbe_heap::gc::MarkStyle;
-use wbe_interp::{
-    BarrierConfig, BarrierMode, BarrierStats, ElidedBarriers, ElisionKind, GcPolicy, Interp, Value,
-};
+use wbe_harness::runner::{Iterations, RunSpec};
+use wbe_interp::{BarrierStats, Value};
 use wbe_ir::display::{method_display, program_display};
 use wbe_ir::{parse_program, Program};
 use wbe_opt::{compile, OptMode, PipelineConfig};
@@ -185,6 +182,23 @@ fn usage() -> ! {
     exit(2)
 }
 
+/// The next argument parsed as `T`; a missing or malformed value is a
+/// usage error.
+fn value<T: std::str::FromStr>(it: &mut std::slice::Iter<'_, String>) -> T {
+    it.next()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| usage())
+}
+
+/// The value of `--format text|ndjson`: true for NDJSON.
+fn ndjson_format(it: &mut std::slice::Iter<'_, String>) -> bool {
+    match it.next().map(String::as_str) {
+        Some("text") => false,
+        Some("ndjson") => true,
+        _ => usage(),
+    }
+}
+
 fn load(source: &str) -> Program {
     if let Some(w) = wbe_workloads::by_name(source) {
         return w.program;
@@ -222,20 +236,11 @@ fn report(rest: &[String]) {
     let mut it = rest.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--metrics-out" => metrics_out = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            "--trace-out" => trace_out = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            "--chrome-trace" => chrome_trace = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            "--format" => match it.next().map(String::as_str) {
-                Some("text") => ndjson = false,
-                Some("ndjson") => ndjson = true,
-                _ => usage(),
-            },
-            "--scale" => {
-                scale = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
+            "--metrics-out" => metrics_out = Some(value(&mut it)),
+            "--trace-out" => trace_out = Some(value(&mut it)),
+            "--chrome-trace" => chrome_trace = Some(value(&mut it)),
+            "--format" => ndjson = ndjson_format(&mut it),
+            "--scale" => scale = value(&mut it),
             s if s.starts_with("--") => usage(),
             s => sources.push(s.to_string()),
         }
@@ -252,30 +257,23 @@ fn report(rest: &[String]) {
     let run_builtin = |w: &wbe_workloads::Workload,
                        gc_total: &mut wbe_heap::gc::GcStats,
                        barriers: &mut BarrierStats| {
-        let iters = ((w.default_iters as f64 * scale) as i64).max(8);
-        let policy = GcPolicy {
-            alloc_trigger: 400,
-            step_interval: 32,
-            step_budget: 4,
-        };
-        let run = wbe_harness::runner::try_run_workload(
-            w,
-            OptMode::Full,
-            100,
-            iters,
-            BarrierMode::Checked,
-            MarkStyle::Satb,
-            Some(policy),
-        )
+        let run = RunSpec {
+            iterations: Iterations::scaled(scale),
+            ..RunSpec::default()
+        }
+        .run(w)
+        .into_result()
         .unwrap_or_else(|t| {
             eprintln!("workload {} trapped: {t}", w.name);
             exit(1)
         });
-        gc_total.merge(&run.gc);
+        gc_total.merge(run.gc());
         barriers.merge(&run.stats.barrier);
         println!(
             "{:<8} barriers: {}; gc: {}",
-            run.name, run.stats.barrier, run.gc
+            run.workload,
+            run.stats.barrier,
+            run.gc()
         );
     };
     if sources.is_empty() {
@@ -366,24 +364,13 @@ fn parse_ledger_args(rest: &[String]) -> LedgerArgs {
                 Some("F") => a.mode = OptMode::FieldOnly,
                 _ => usage(),
             },
-            "--inline" => {
-                a.inline = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
+            "--inline" => a.inline = value(&mut it),
             "--nos" => a.nos = true,
-            "--method" => a.method = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            "--site" => {
-                a.site = Some(
-                    it.next()
-                        .and_then(|n| n.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--out" => a.out = Some(it.next().unwrap_or_else(|| usage()).clone()),
+            "--method" => a.method = Some(value(&mut it)),
+            "--site" => a.site = Some(value(&mut it)),
+            "--out" => a.out = Some(value(&mut it)),
             "--demo-flip" => a.demo_flip = true,
-            "--oracle" => a.oracle = Some(it.next().unwrap_or_else(|| usage()).clone()),
+            "--oracle" => a.oracle = Some(value(&mut it)),
             _ => usage(),
         }
     }
@@ -434,41 +421,13 @@ fn profile(rest: &[String]) -> i32 {
     let mut it = rest.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--workload" => opts
-                .workloads
-                .push(it.next().unwrap_or_else(|| usage()).clone()),
-            "--top" => {
-                opts.top = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--scale" => {
-                opts.scale = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--slo-max-pause" => {
-                opts.slo_max_pause = Some(
-                    it.next()
-                        .and_then(|n| n.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--slo-p99-pause" => {
-                opts.slo_p99_pause = Some(
-                    it.next()
-                        .and_then(|n| n.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--format" => match it.next().map(String::as_str) {
-                Some("text") => ndjson = false,
-                Some("ndjson") => ndjson = true,
-                _ => usage(),
-            },
-            "--out" => out = Some(it.next().unwrap_or_else(|| usage()).clone()),
+            "--workload" => opts.workloads.push(value(&mut it)),
+            "--top" => opts.top = value(&mut it),
+            "--scale" => opts.scale = value(&mut it),
+            "--slo-max-pause" => opts.slo_max_pause = Some(value(&mut it)),
+            "--slo-p99-pause" => opts.slo_p99_pause = Some(value(&mut it)),
+            "--format" => ndjson = ndjson_format(&mut it),
+            "--out" => out = Some(value(&mut it)),
             _ => usage(),
         }
     }
@@ -485,33 +444,17 @@ fn oracle(rest: &[String]) -> i32 {
     let mut it = rest.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--workload" => opts
-                .workloads
-                .push(it.next().unwrap_or_else(|| usage()).clone()),
+            "--workload" => opts.workloads.push(value(&mut it)),
             "--engine" => {
                 opts.engine = it
                     .next()
                     .and_then(|s| wbe_interp::EngineKind::parse(s))
                     .unwrap_or_else(|| usage())
             }
-            "--scale" => {
-                opts.scale = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--top" => {
-                opts.top = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--format" => match it.next().map(String::as_str) {
-                Some("text") => ndjson = false,
-                Some("ndjson") => ndjson = true,
-                _ => usage(),
-            },
-            "--out" => out = Some(it.next().unwrap_or_else(|| usage()).clone()),
+            "--scale" => opts.scale = value(&mut it),
+            "--top" => opts.top = value(&mut it),
+            "--format" => ndjson = ndjson_format(&mut it),
+            "--out" => out = Some(value(&mut it)),
             _ => usage(),
         }
     }
@@ -542,21 +485,10 @@ fn throughput(rest: &[String]) -> i32 {
                     .filter(|&n| n >= 1)
                     .unwrap_or_else(|| usage())
             }
-            "--duration-ops" => {
-                opts.duration_ops = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--workload" => opts
-                .workloads
-                .push(it.next().unwrap_or_else(|| usage()).clone()),
-            "--format" => match it.next().map(String::as_str) {
-                Some("text") => opts.ndjson = false,
-                Some("ndjson") => opts.ndjson = true,
-                _ => usage(),
-            },
-            "--out" => out = Some(it.next().unwrap_or_else(|| usage()).clone()),
+            "--duration-ops" => opts.duration_ops = value(&mut it),
+            "--workload" => opts.workloads.push(value(&mut it)),
+            "--format" => opts.ndjson = ndjson_format(&mut it),
+            "--out" => out = Some(value(&mut it)),
             _ => usage(),
         }
     }
@@ -572,17 +504,11 @@ fn throughput(rest: &[String]) -> i32 {
     } else {
         render_text(&rows, &opts)
     };
-    match &out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &body) {
-                eprintln!("cannot write {path}: {e}");
-                return 2;
-            }
-            eprintln!("throughput report written to {path}");
-        }
-        None => print!("{body}"),
+    if wbe_harness::emit_report(&body, out.as_deref(), "throughput report") {
+        0
+    } else {
+        2
     }
-    0
 }
 
 /// `wbe_tool bench`: baseline-gated suite measurement.
@@ -595,7 +521,7 @@ fn bench(rest: &[String]) -> i32 {
         match a.as_str() {
             "--check-baselines" => check = true,
             "--update" => update = true,
-            "--baselines" => path = it.next().unwrap_or_else(|| usage()).clone(),
+            "--baselines" => path = value(&mut it),
             _ => usage(),
         }
     }
@@ -620,59 +546,23 @@ fn soak(rest: &[String]) -> i32 {
     let mut it = rest.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--rounds" => {
-                opts.rounds = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--seed" => {
-                opts.seed = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--scale" => {
-                opts.scale = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--max-attempts" => {
-                opts.max_attempts = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--threshold" => {
-                opts.threshold = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
+            "--rounds" => opts.rounds = value(&mut it),
+            "--seed" => opts.seed = value(&mut it),
+            "--scale" => opts.scale = value(&mut it),
+            "--max-attempts" => opts.max_attempts = value(&mut it),
+            "--threshold" => opts.threshold = value(&mut it),
             "--escalate" => opts.escalate = true,
             "--unrecoverable" => opts.unrecoverable = true,
-            "--format" => match it.next().map(String::as_str) {
-                Some("text") => opts.ndjson = false,
-                Some("ndjson") => opts.ndjson = true,
-                _ => usage(),
-            },
-            "--out" => out = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            "--flight-out" => flight_out = it.next().unwrap_or_else(|| usage()).clone(),
+            "--format" => opts.ndjson = ndjson_format(&mut it),
+            "--out" => out = Some(value(&mut it)),
+            "--flight-out" => flight_out = value(&mut it),
             _ => usage(),
         }
     }
     let outcome = run_soak(&opts);
     let report = outcome.render(&opts);
-    match &out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &report) {
-                eprintln!("cannot write {path}: {e}");
-                return 2;
-            }
-            eprintln!("soak report written to {path}");
-        }
-        None => print!("{report}"),
+    if !wbe_harness::emit_report(&report, out.as_deref(), "soak report") {
+        return 2;
     }
     if outcome.exit_code != 0 {
         if let Err(e) = std::fs::write(&flight_out, outcome.flight_chrome_trace()) {
@@ -701,96 +591,28 @@ fn serve(rest: &[String]) -> i32 {
     let mut it = rest.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--tenants" => {
-                opts.tenants = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--connections" => {
-                opts.connections = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--mix" => {
-                opts.mix = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--requests" => {
-                opts.requests = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--arrivals" => {
-                opts.arrivals_per_window = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--request-ops" => {
-                opts.request_ops = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--seed" => {
-                opts.seed = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--heap-budget" => {
-                opts.heap_budget = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
+            "--tenants" => opts.tenants = value(&mut it),
+            "--connections" => opts.connections = value(&mut it),
+            "--mix" => opts.mix = value(&mut it),
+            "--requests" => opts.requests = value(&mut it),
+            "--arrivals" => opts.arrivals_per_window = value(&mut it),
+            "--request-ops" => opts.request_ops = value(&mut it),
+            "--seed" => opts.seed = value(&mut it),
+            "--heap-budget" => opts.heap_budget = value(&mut it),
             "--chaos" => opts.chaos = true,
-            "--overload-pm" => {
-                opts.overload_pm = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--slo-p99" => {
-                opts.slo_p99 = Some(
-                    it.next()
-                        .and_then(|n| n.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--slo-shed-pct" => {
-                opts.slo_shed_pct = Some(
-                    it.next()
-                        .and_then(|n| n.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--format" => match it.next().map(String::as_str) {
-                Some("text") => opts.ndjson = false,
-                Some("ndjson") => opts.ndjson = true,
-                _ => usage(),
-            },
-            "--out" => out = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            "--trace-out" => trace_out = Some(it.next().unwrap_or_else(|| usage()).clone()),
+            "--overload-pm" => opts.overload_pm = value(&mut it),
+            "--slo-p99" => opts.slo_p99 = Some(value(&mut it)),
+            "--slo-shed-pct" => opts.slo_shed_pct = Some(value(&mut it)),
+            "--format" => opts.ndjson = ndjson_format(&mut it),
+            "--out" => out = Some(value(&mut it)),
+            "--trace-out" => trace_out = Some(value(&mut it)),
             _ => usage(),
         }
     }
     let report = run_serve_cmd(&opts);
     let body = report.render();
-    match &out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &body) {
-                eprintln!("cannot write {path}: {e}");
-                return 2;
-            }
-            eprintln!("serve report written to {path}");
-        }
-        None => print!("{body}"),
+    if !wbe_harness::emit_report(&body, out.as_deref(), "serve report") {
+        return 2;
     }
     if let Some(path) = &trace_out {
         if let Err(e) = std::fs::write(path, report.trace_chrome_json()) {
@@ -819,24 +641,9 @@ fn verify_faults(rest: &[String]) {
     let mut it = rest.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--faults" => {
-                opts.schedules = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--seed" => {
-                opts.seed = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--scale" => {
-                opts.scale = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
+            "--faults" => opts.schedules = value(&mut it),
+            "--seed" => opts.seed = value(&mut it),
+            "--scale" => opts.scale = value(&mut it),
             "--demo-unsound" => demo_unsound = true,
             s if s.starts_with("--") => usage(),
             s => names.push(s.to_string()),
@@ -1022,12 +829,7 @@ fn main() {
                         Some("B") => mode = OptMode::Baseline,
                         _ => usage(),
                     },
-                    "--inline" => {
-                        inline = it
-                            .next()
-                            .and_then(|n| n.parse().ok())
-                            .unwrap_or_else(|| usage())
-                    }
+                    "--inline" => inline = value(&mut it),
                     "--nos" => nos = true,
                     "--dump" => dump = true,
                     _ => usage(),
@@ -1084,12 +886,7 @@ fn main() {
             while let Some(a) = it.next() {
                 match a.as_str() {
                     "--elide" => elide = true,
-                    "--fuel" => {
-                        fuel = it
-                            .next()
-                            .and_then(|n| n.parse().ok())
-                            .unwrap_or_else(|| usage())
-                    }
+                    "--fuel" => fuel = value(&mut it),
                     n => int_args.push(Value::Int(n.parse().unwrap_or_else(|_| usage()))),
                 }
             }
@@ -1098,33 +895,33 @@ fn main() {
                 exit(1);
             };
             let mid = m.id;
-            let bc = if elide {
-                let res =
-                    wbe_analysis::analyze_program(&program, &wbe_analysis::AnalysisConfig::full());
-                let mut elided: ElidedBarriers = res.iter_elided().collect();
-                for (nm, sites) in nullsame::analyze_program(&program) {
-                    for a in sites {
-                        elided.insert_kind(nm, a, ElisionKind::NullOrSame);
-                    }
-                }
-                println!("elided {} sites", elided.len());
-                BarrierConfig::with_elision(BarrierMode::Checked, elided)
-            } else {
-                BarrierConfig::new(BarrierMode::Checked)
+            // The program runs as written (no inlining, collector idle);
+            // `--elide` applies the pre-null and null-or-same analyses.
+            let spec = RunSpec {
+                pipeline: if elide {
+                    PipelineConfig::new(OptMode::Full, 0).with_null_or_same()
+                } else {
+                    PipelineConfig::new(OptMode::Baseline, 0)
+                },
+                elide,
+                gc: None,
+                ..RunSpec::default()
             };
-            let mut interp = Interp::new(&program, bc);
-            match interp.run(mid, &int_args, fuel) {
+            let build = spec.compile(&program);
+            if elide {
+                println!("elided {} sites", build.elided.len());
+            }
+            let mut engine = spec.engine(&build);
+            match engine.run(mid, &int_args, fuel) {
                 Ok(v) => {
                     println!(
                         "result: {}",
                         v.map(|v| v.to_string()).unwrap_or_else(|| "void".into())
                     );
+                    let stats = engine.stats();
                     println!(
                         "insns: {}, cycles: {}, barrier cycles: {}, elided execs: {}",
-                        interp.stats.insns,
-                        interp.stats.cycles,
-                        interp.stats.barrier_cycles,
-                        interp.stats.elided_executions
+                        stats.insns, stats.cycles, stats.barrier_cycles, stats.elided_executions
                     );
                 }
                 Err(t) => {

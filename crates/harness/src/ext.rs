@@ -8,12 +8,10 @@
 
 use std::fmt;
 
-use wbe_heap::gc::MarkStyle;
-use wbe_interp::{BarrierConfig, BarrierMode, Interp, Value};
 use wbe_opt::{OptMode, PipelineConfig};
 use wbe_workloads::standard_suite;
 
-use crate::runner::compile_workload_with;
+use crate::runner::{Iterations, RunSpec};
 
 /// One row: elimination with pre-null only vs with null-or-same added.
 #[derive(Clone, Debug)]
@@ -42,20 +40,19 @@ pub struct ExtReport {
 
 /// Runs the experiment at `scale`.
 pub fn run(scale: f64) -> ExtReport {
+    let spec = RunSpec {
+        pipeline: PipelineConfig::new(OptMode::Full, 100).with_null_or_same(),
+        gc: None,
+        iterations: Iterations::Scaled { scale, min: 16 },
+        ..RunSpec::default()
+    };
     let mut rows = Vec::new();
     for w in standard_suite() {
-        let iters = ((w.default_iters as f64 * scale) as i64).max(16);
-        let cfg = PipelineConfig::new(OptMode::Full, 100).with_null_or_same();
-        let (compiled, elided) = compile_workload_with(&w, &cfg);
-        let config = BarrierConfig::with_elision(BarrierMode::Checked, elided.clone());
-        let mut interp = Interp::with_style(&compiled.program, config, MarkStyle::Satb);
-        interp
-            .run(w.entry, &[Value::Int(iters)], w.fuel_for(iters))
-            .unwrap_or_else(|t| panic!("{} trapped: {t}", w.name));
+        let run = spec.run(&w).unwrap();
         // Summaries against the combined set and the pre-null-only set.
-        let with_nos = interp.stats.barrier.summarize(&elided);
-        let pre_null_only = compiled.elided_sites().into_iter().collect();
-        let pre = interp.stats.barrier.summarize(&pre_null_only);
+        let with_nos = run.summary();
+        let pre_null_only = run.build.compiled.elided_sites().into_iter().collect();
+        let pre = run.stats.barrier.summarize(&pre_null_only);
         rows.push(ExtRow {
             name: w.name,
             pct_pre_null: pre.pct_eliminated(),

@@ -10,12 +10,10 @@
 use std::fmt;
 use std::time::Duration;
 
-use wbe_heap::gc::MarkStyle;
-use wbe_interp::BarrierMode;
-use wbe_opt::OptMode;
+use wbe_opt::{OptMode, PipelineConfig};
 use wbe_workloads::standard_suite;
 
-use crate::runner::run_workload;
+use crate::runner::{Iterations, RunSpec};
 
 /// The swept inline limits, as in the paper.
 pub const LIMITS: [usize; 5] = [0, 25, 50, 100, 200];
@@ -59,20 +57,19 @@ pub fn run(scale: f64) -> Fig2 {
             let mut total: u64 = 0;
             let mut elim: u64 = 0;
             let mut compile_time = Duration::ZERO;
+            let spec = RunSpec {
+                pipeline: PipelineConfig::new(mode, limit),
+                gc: None,
+                iterations: Iterations::scaled(scale),
+                ..RunSpec::default()
+            };
             for w in &suite {
-                let iters = ((w.default_iters as f64 * scale) as i64).max(8);
-                let run = run_workload(
-                    w,
-                    mode,
-                    limit,
-                    iters,
-                    BarrierMode::Checked,
-                    MarkStyle::Satb,
-                    None,
-                );
-                total += run.summary.total();
-                elim += run.summary.eliminated();
-                compile_time += run.compiled.inline_time + run.compiled.analysis_time();
+                let run = spec.run(w).unwrap();
+                let summary = run.summary();
+                total += summary.total();
+                elim += summary.eliminated();
+                let compiled = &run.build.compiled;
+                compile_time += compiled.inline_time + compiled.analysis_time();
             }
             cells.push(Fig2Cell {
                 limit,

@@ -7,10 +7,10 @@
 
 use std::fmt;
 
-use wbe_opt::OptMode;
+use wbe_opt::{OptMode, PipelineConfig};
 use wbe_workloads::standard_suite;
 
-use crate::runner::compile_workload;
+use crate::runner::RunSpec;
 
 /// One benchmark's code sizes under the three modes.
 #[derive(Clone, Debug)]
@@ -43,14 +43,20 @@ pub struct Fig3 {
 pub fn run() -> Fig3 {
     let mut rows = Vec::new();
     for w in standard_suite() {
-        let (b, _) = compile_workload(&w, OptMode::Baseline, 100);
-        let (f, _) = compile_workload(&w, OptMode::FieldOnly, 100);
-        let (a, _) = compile_workload(&w, OptMode::Full, 100);
+        let code_size = |mode: OptMode| {
+            RunSpec {
+                pipeline: PipelineConfig::new(mode, 100),
+                ..RunSpec::default()
+            }
+            .compile(&w.program)
+            .compiled
+            .code_size()
+        };
         rows.push(Fig3Row {
             name: w.name,
-            base: b.code_size(),
-            field: f.code_size(),
-            full: a.code_size(),
+            base: code_size(OptMode::Baseline),
+            field: code_size(OptMode::FieldOnly),
+            full: code_size(OptMode::Full),
         });
     }
     Fig3 { rows }

@@ -35,6 +35,56 @@ pub(crate) fn registry_lock() -> std::sync::MutexGuard<'static, ()> {
         .unwrap_or_else(|e| e.into_inner())
 }
 
+/// Writes a command's report `body` to `out` (announced on stderr as
+/// "`what` written to PATH"), or prints it. `false` if the write failed.
+pub fn emit_report(body: &str, out: Option<&str>, what: &str) -> bool {
+    match out {
+        Some(path) => match std::fs::write(path, body) {
+            Ok(()) => {
+                eprintln!("{what} written to {path}");
+                true
+            }
+            Err(e) => {
+                eprintln!("cannot write {path}: {e}");
+                false
+            }
+        },
+        None => {
+            print!("{body}");
+            true
+        }
+    }
+}
+
+/// `num` as a percentage of `den` (0 when `den` is 0).
+pub(crate) fn pct(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        100.0 * num as f64 / den as f64
+    }
+}
+
+/// Appends one NDJSON record, written by `f`, to `out`.
+pub(crate) fn ndjson_line(
+    out: &mut String,
+    f: impl FnOnce(&mut wbe_telemetry::json::ObjWriter<'_>),
+) {
+    let mut w = wbe_telemetry::json::ObjWriter::new(out);
+    f(&mut w);
+    w.finish();
+    out.push('\n');
+}
+
+/// Looks up built-in workloads by name. `Err` names the first unknown
+/// one.
+pub(crate) fn workloads_named(names: &[String]) -> Result<Vec<wbe_workloads::Workload>, String> {
+    names
+        .iter()
+        .map(|n| wbe_workloads::by_name(n).ok_or_else(|| format!("unknown workload '{n}'")))
+        .collect()
+}
+
 pub mod baselines;
 pub mod clients;
 pub mod combined;

@@ -31,12 +31,11 @@
 
 use std::collections::BTreeMap;
 
-use wbe_heap::gc::MarkStyle;
-use wbe_interp::{BarrierConfig, BarrierMode, EngineKind, GcPolicy, StoreKind, Value};
+use wbe_interp::{EngineKind, StoreKind};
 use wbe_opt::{OptMode, PipelineConfig};
-use wbe_telemetry::json::ObjWriter;
 
-use crate::runner::compile_workload_with;
+use crate::runner::{Iterations, KeptSite, RunSpec, UNATTRIBUTED};
+use crate::{ndjson_line, pct};
 
 /// The frozen suite-wide *static* elision rate (percent) the dynamic
 /// upper bound is reported against — `pct_elided` in
@@ -216,14 +215,6 @@ impl SuiteOracle {
     }
 }
 
-fn pct(num: u64, den: u64) -> f64 {
-    if den == 0 {
-        0.0
-    } else {
-        100.0 * num as f64 / den as f64
-    }
-}
-
 /// Runs the oracle over the requested workloads. `Err` names an
 /// unknown workload or a trapped run.
 pub fn measure(opts: &OracleOptions) -> Result<SuiteOracle, String> {
@@ -246,14 +237,10 @@ pub fn measure(opts: &OracleOptions) -> Result<SuiteOracle, String> {
             )
             .collect()
     } else {
-        opts.workloads
-            .iter()
-            .map(|n| {
-                wbe_workloads::by_name(n)
-                    .map(|w| (w, true))
-                    .ok_or_else(|| format!("unknown workload '{n}'"))
-            })
-            .collect::<Result<_, _>>()?
+        crate::workloads_named(&opts.workloads)?
+            .into_iter()
+            .map(|w| (w, true))
+            .collect()
     };
 
     let mut results = Vec::new();
@@ -333,55 +320,43 @@ fn oracle_workload(
     scale: f64,
 ) -> Result<WorkloadOracle, String> {
     wbe_telemetry::registry::global().reset();
-    let cfg = PipelineConfig::new(OptMode::Full, 100).with_ledger();
-    let (compiled, elided) = compile_workload_with(w, &cfg);
-    let ledger = compiled.ledger.as_ref().expect("full mode builds a ledger");
-    let ledger_index = ledger.index();
-    let iters = ((w.default_iters as f64 * scale) as i64).max(8);
-    let bc = BarrierConfig::with_elision(BarrierMode::Checked, elided.clone());
-    let mut eng = engine.build(&compiled.program, bc, MarkStyle::Satb);
-    eng.set_oracle(true);
-    eng.set_gc_policy(GcPolicy {
-        alloc_trigger: 400,
-        step_interval: 32,
-        step_budget: 4,
-    });
-    eng.run(w.entry, &[Value::Int(iters)], w.fuel_for(iters))
-        .map_err(|t| format!("workload {} trapped: {t}", w.name))?;
-
-    // Per-site dynamic counters keyed like the oracle's SiteKey, for
-    // the pre-null join.
-    let mut dyn_stats: BTreeMap<(u64, u32, u32), (u64, u64)> = BTreeMap::new();
-    let mut elided_executions = 0u64;
-    for (&(mid, addr, _), stats) in eng.stats().barrier.iter() {
-        if elided.contains(mid, addr) {
-            elided_executions += stats.executions;
-            continue;
-        }
-        let key = (u64::from(mid.0), addr.block.0, addr.index as u32);
-        let e = dyn_stats.entry(key).or_insert((0, 0));
-        e.0 += stats.executions;
-        e.1 += stats.pre_null;
+    let run = RunSpec {
+        pipeline: PipelineConfig::new(OptMode::Full, 100).with_ledger(),
+        engine,
+        iterations: Iterations::scaled(scale),
+        oracle: true,
+        ..RunSpec::default()
     }
+    .run(w)
+    .into_result()
+    .map_err(|t| format!("workload {} trapped: {t}", w.name))?;
 
-    let oracle = eng.oracle().expect("oracle was enabled");
+    // Kept sites keyed like the oracle's SiteKey, for the keep-code and
+    // pre-null join.
+    let kept: BTreeMap<(u64, u32, u32), KeptSite<'_>> = run
+        .kept_sites()
+        .into_iter()
+        .map(|k| ((u64::from(k.mid.0), k.addr.block.0, k.addr.index as u32), k))
+        .collect();
+
+    let oracle = run.oracle.as_ref().expect("oracle was enabled");
     let mut sites = Vec::new();
     let mut necessary_executions = 0u64;
     let mut never_necessary_executions = 0u64;
     let mut never_necessary_sites = 0u64;
     let mut kept_witnessed = 0u64;
     for (&key, sn) in &oracle.sites {
-        let mid = wbe_ir::MethodId(key.0 as u32);
-        let method = compiled.program.method(mid).name.as_str();
+        let method = run
+            .build
+            .compiled
+            .program
+            .method(wbe_ir::MethodId(key.0 as u32))
+            .name
+            .as_str();
         let (block, index) = (key.1 as usize, key.2 as usize);
-        let keep_code = ledger_index
-            .get(&(method, block, index))
-            .filter(|rec| !rec.keep_code.is_empty())
-            .map_or_else(
-                || crate::profile::UNATTRIBUTED.to_string(),
-                |rec| rec.keep_code.clone(),
-            );
-        let (_, pre_null) = dyn_stats.get(&key).copied().unwrap_or((0, 0));
+        let site = kept.get(&key);
+        let keep_code = site.map_or(UNATTRIBUTED, |k| k.keep_code).to_string();
+        let pre_null = site.map_or(0, |k| k.stats.pre_null);
         let mut row = SiteOracleRow {
             site: format!("{method}@B{block}[{index}]"),
             kind: match sn.kind {
@@ -411,18 +386,15 @@ fn oracle_workload(
         sites.push(row);
     }
 
-    let (total_executions, _) = eng.stats().barrier.totals();
+    let (total_executions, _) = run.stats.barrier.totals();
+    let elided_executions = run.summary().eliminated();
     let kept_executions = total_executions - elided_executions;
     debug_assert_eq!(
         kept_executions, kept_witnessed,
         "{}: every kept execution must carry a verdict",
         w.name
     );
-    let witness = eng
-        .heap()
-        .witness
-        .as_ref()
-        .expect("oracle enables witnesses");
+    let witness = run.heap.witness.as_ref().expect("oracle enables witnesses");
     // Sole/shielded are assigned at each cycle's remark audit, so a run
     // that ends inside an open marking cycle leaves that cycle's
     // necessary enqueues unaudited: sole + shielded ≤ necessary, with
@@ -454,16 +426,8 @@ fn oracle_workload(
 /// runs of the same seed must be byte-identical.
 pub fn to_ndjson(o: &SuiteOracle) -> String {
     let mut out = String::new();
-    let mut line = |f: &dyn Fn(&mut ObjWriter<'_>)| {
-        let mut s = String::new();
-        let mut w = ObjWriter::new(&mut s);
-        f(&mut w);
-        w.finish();
-        out.push_str(&s);
-        out.push('\n');
-    };
     for wo in &o.workloads {
-        line(&|w| {
+        ndjson_line(&mut out, |w| {
             w.field_str("record", "workload")
                 .field_str("workload", &wo.workload)
                 .field_bool("headline", wo.headline)
@@ -479,7 +443,7 @@ pub fn to_ndjson(o: &SuiteOracle) -> String {
                 .field_u64("escaped_objects", wo.escaped_objects);
         });
         for s in &wo.sites {
-            line(&|w| {
+            ndjson_line(&mut out, |w| {
                 w.field_str("record", "site")
                     .field_str("workload", &wo.workload)
                     .field_str("site", &s.site)
@@ -505,7 +469,7 @@ pub fn to_ndjson(o: &SuiteOracle) -> String {
         }
     }
     for (rank, r) in o.worklist.iter().enumerate() {
-        line(&|w| {
+        ndjson_line(&mut out, |w| {
             w.field_str("record", "worklist")
                 .field_u64("rank", rank as u64 + 1)
                 .field_str("workload", &r.workload)
@@ -515,7 +479,7 @@ pub fn to_ndjson(o: &SuiteOracle) -> String {
                 .field_str("witness", &r.witness);
         });
     }
-    line(&|w| {
+    ndjson_line(&mut out, |w| {
         w.field_str("record", "suite")
             .field_u64("total_executions", o.total_executions)
             .field_u64("elided_executions", o.elided_executions)
@@ -627,17 +591,11 @@ pub fn run_oracle(opts: &OracleOptions, ndjson: bool, out_path: Option<&str>) ->
     } else {
         to_text(&suite)
     };
-    match out_path {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &body) {
-                eprintln!("cannot write {path}: {e}");
-                return 2;
-            }
-            eprintln!("oracle report written to {path}");
-        }
-        None => print!("{body}"),
+    if crate::emit_report(&body, out_path, "oracle report") {
+        0
+    } else {
+        2
     }
-    0
 }
 
 #[cfg(test)]
@@ -672,9 +630,7 @@ mod tests {
             assert_eq!(verdicts, wo.kept_executions, "{}", wo.workload);
             assert_eq!(wo.audit_violations, 0, "{}", wo.workload);
             assert!(
-                !wo.sites
-                    .iter()
-                    .any(|s| s.keep_code == crate::profile::UNATTRIBUTED),
+                !wo.sites.iter().any(|s| s.keep_code == UNATTRIBUTED),
                 "{}: verdicts lost ledger provenance",
                 wo.workload
             );

@@ -17,12 +17,11 @@
 use std::fmt;
 
 use wbe_heap::gc::MarkStyle;
-use wbe_interp::{BarrierMode, GcPolicy};
-use wbe_opt::OptMode;
+use wbe_opt::{OptMode, PipelineConfig};
 use wbe_telemetry::registry::HistogramSnapshot;
 use wbe_workloads::by_name;
 
-use crate::runner::run_workload;
+use crate::runner::{Iterations, RunSpec};
 
 /// Pause statistics for one marker style.
 #[derive(Clone, Debug)]
@@ -62,27 +61,20 @@ impl PauseReport {
 
 /// Runs the experiment; `scale` shrinks the workload.
 pub fn run(scale: f64) -> PauseReport {
-    let policy = GcPolicy {
-        alloc_trigger: 400,
-        step_interval: 32,
-        step_budget: 4,
-    };
+    let w = by_name("jess").expect("jess exists");
     let mut rows = Vec::new();
     for (label, style) in [
         ("satb", MarkStyle::Satb),
         ("incremental-update", MarkStyle::IncrementalUpdate),
     ] {
-        let w = by_name("jess").expect("jess exists");
-        let iters = ((w.default_iters as f64 * scale) as i64).max(512);
-        let r = run_workload(
-            &w,
-            OptMode::Baseline,
-            100,
-            iters,
-            BarrierMode::Checked,
+        let r = RunSpec {
+            pipeline: PipelineConfig::new(OptMode::Baseline, 100),
             style,
-            Some(policy),
-        );
+            iterations: Iterations::Scaled { scale, min: 512 },
+            ..RunSpec::default()
+        }
+        .run(&w)
+        .unwrap();
         let pauses = &r.stats.pauses;
         let hist = HistogramSnapshot::from_samples(pauses.iter().map(|p| p.work_units() as u64));
         rows.push(PauseRow {

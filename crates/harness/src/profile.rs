@@ -22,18 +22,13 @@
 
 use std::collections::BTreeMap;
 
-use wbe_heap::gc::MarkStyle;
-use wbe_interp::{BarrierConfig, BarrierMode, GcPolicy, Interp, StoreKind, Value};
+use wbe_interp::StoreKind;
 use wbe_opt::{OptMode, PipelineConfig};
 use wbe_telemetry::json::ObjWriter;
 use wbe_telemetry::registry::HistogramSnapshot;
 
-use crate::runner::compile_workload_with;
-
-/// Keep-code used for executed kept sites missing from the ledger.
-/// Non-empty counts here mean the join lost provenance — a bug the
-/// `join_loses_nothing` test pins to zero.
-pub const UNATTRIBUTED: &str = "unattributed";
+use crate::runner::{Iterations, RunSpec};
+use crate::{ndjson_line, pct};
 
 /// The GC pause phases the profiler reports, as `(label, registry
 /// key, stop_the_world)`. STW phases participate in the SLO gate;
@@ -195,18 +190,18 @@ impl SuiteProfile {
             .is_none_or(|budget| self.p99_stw_pause <= budget)
     }
 
+    /// The `(label, budget, observed)` triple of each pause SLO gate.
+    fn slo_gates(&self) -> [(&'static str, Option<u64>, u64); 2] {
+        [
+            ("max", self.slo_max_pause, self.max_stw_pause),
+            ("p99", self.slo_p99_pause, self.p99_stw_pause),
+        ]
+    }
+
     /// Headroom of one keep-code: the percentage of all charged barrier
     /// cycles that would disappear if the code's sites became elidable.
     pub fn headroom_pct(&self, cost: &KeepCodeCost) -> f64 {
         pct(cost.cycles, self.barrier_cycles)
-    }
-}
-
-fn pct(num: u64, den: u64) -> f64 {
-    if den == 0 {
-        0.0
-    } else {
-        100.0 * num as f64 / den as f64
     }
 }
 
@@ -254,10 +249,7 @@ pub fn measure(opts: &ProfileOptions) -> Result<SuiteProfile, String> {
     let workloads: Vec<wbe_workloads::Workload> = if opts.workloads.is_empty() {
         wbe_workloads::standard_suite()
     } else {
-        opts.workloads
-            .iter()
-            .map(|n| wbe_workloads::by_name(n).ok_or_else(|| format!("unknown workload '{n}'")))
-            .collect::<Result<_, _>>()?
+        crate::workloads_named(&opts.workloads)?
     };
 
     let mut profiles = Vec::new();
@@ -284,18 +276,8 @@ pub fn measure(opts: &ProfileOptions) -> Result<SuiteProfile, String> {
         .zip(&suite_hists)
         .map(|(&(label, _, stw), h)| percentiles(label, stw, h))
         .collect();
-    let max_stw_pause = phases
-        .iter()
-        .filter(|p| p.stw)
-        .map(|p| p.max)
-        .max()
-        .unwrap_or(0);
-    let p99_stw_pause = phases
-        .iter()
-        .filter(|p| p.stw)
-        .map(|p| p.p99)
-        .max()
-        .unwrap_or(0);
+    let max_stw_pause = stw_max(&phases, |p| p.max);
+    let p99_stw_pause = stw_max(&phases, |p| p.p99);
     Ok(SuiteProfile {
         barrier_executions: profiles.iter().map(|p| p.barrier_executions).sum(),
         elided_executions: profiles.iter().map(|p| p.elided_executions).sum(),
@@ -309,6 +291,11 @@ pub fn measure(opts: &ProfileOptions) -> Result<SuiteProfile, String> {
         slo_max_pause: opts.slo_max_pause,
         slo_p99_pause: opts.slo_p99_pause,
     })
+}
+
+/// The largest value of `f` over the stop-the-world phases.
+fn stw_max(phases: &[PhasePercentiles], f: fn(&PhasePercentiles) -> u64) -> u64 {
+    phases.iter().filter(|p| p.stw).map(f).max().unwrap_or(0)
 }
 
 /// Deterministic cost order: cycles desc, then executions desc, then
@@ -331,63 +318,37 @@ fn profile_workload(
     suite_hists: &mut [HistogramSnapshot],
 ) -> Result<WorkloadProfile, String> {
     wbe_telemetry::registry::global().reset();
-    let cfg = PipelineConfig::new(OptMode::Full, 100).with_ledger();
-    let (compiled, elided) = compile_workload_with(w, &cfg);
-    let ledger = compiled.ledger.as_ref().expect("full mode builds a ledger");
-    let ledger_index = ledger.index();
-    let iters = ((w.default_iters as f64 * scale) as i64).max(8);
-    let bc = BarrierConfig::with_elision(BarrierMode::Checked, elided.clone());
-    let mut interp = Interp::with_style(&compiled.program, bc, MarkStyle::Satb);
-    interp.set_gc_policy(GcPolicy {
-        alloc_trigger: 400,
-        step_interval: 32,
-        step_budget: 4,
-    });
-    interp
-        .run(w.entry, &[Value::Int(iters)], w.fuel_for(iters))
-        .map_err(|t| format!("workload {} trapped: {t}", w.name))?;
+    let run = RunSpec {
+        pipeline: PipelineConfig::new(OptMode::Full, 100).with_ledger(),
+        iterations: Iterations::scaled(scale),
+        ..RunSpec::default()
+    }
+    .run(w)
+    .into_result()
+    .map_err(|t| format!("workload {} trapped: {t}", w.name))?;
 
-    // The join: every executed site is either elided (zero cost) or
-    // attributed to the ledger keep-code at its (method, block, index).
+    // Every executed site is either elided (zero cost) or attributed to
+    // the ledger keep-code at its (method, block, index).
     let mut codes: BTreeMap<String, KeepCodeCost> = BTreeMap::new();
     let mut hot: Vec<HotSite> = Vec::new();
-    let mut elided_executions = 0u64;
-    for (&(mid, addr, kind), stats) in interp.stats.barrier.iter() {
-        if elided.contains(mid, addr) {
-            elided_executions += stats.executions;
-            continue;
-        }
-        let method = compiled.program.method(mid).name.as_str();
-        let (code, site) = match ledger_index.get(&(method, addr.block.index(), addr.index)) {
-            Some(rec) => (
-                if rec.keep_code.is_empty() {
-                    UNATTRIBUTED.to_string()
-                } else {
-                    rec.keep_code.clone()
-                },
-                rec.site_key(),
-            ),
-            None => (
-                UNATTRIBUTED.to_string(),
-                format!("{method}@B{}[{}]", addr.block.index(), addr.index),
-            ),
-        };
+    for kept in run.kept_sites() {
+        let code = kept.keep_code.to_string();
         let e = codes.entry(code.clone()).or_insert_with(|| KeepCodeCost {
             code: code.clone(),
             ..KeepCodeCost::default()
         });
         e.sites += 1;
-        e.executions += stats.executions;
-        e.cycles += stats.cycles;
+        e.executions += kept.stats.executions;
+        e.cycles += kept.stats.cycles;
         hot.push(HotSite {
-            site,
-            kind: match kind {
+            site: kept.site(),
+            kind: match kept.kind {
                 StoreKind::Field => "field",
                 StoreKind::Array => "array",
             },
             code,
-            executions: stats.executions,
-            cycles: stats.cycles,
+            executions: kept.stats.executions,
+            cycles: kept.stats.cycles,
         });
     }
     hot.sort_by(|a, b| {
@@ -406,21 +367,17 @@ fn profile_workload(
         merge_hist(&mut suite_hists[i], h);
         phases.push(percentiles(label, stw, h));
     }
-    let max_stw_pause = phases
-        .iter()
-        .filter(|p| p.stw)
-        .map(|p| p.max)
-        .max()
-        .unwrap_or(0);
+    let max_stw_pause = stw_max(&phases, |p| p.max);
 
-    let (total, _) = interp.stats.barrier.totals();
+    let (total, _) = run.stats.barrier.totals();
+    let elided_executions = run.summary().eliminated();
     let kept_executions = total - elided_executions;
     Ok(WorkloadProfile {
         workload: w.name.to_string(),
         barrier_executions: total,
         elided_executions,
         kept_executions,
-        barrier_cycles: interp.stats.barrier.total_cycles(),
+        barrier_cycles: run.stats.barrier.total_cycles(),
         keep_codes: sort_costs(codes),
         hot_sites: hot,
         phases,
@@ -434,16 +391,8 @@ fn profile_workload(
 /// Contains no timestamps: byte-identical across runs.
 pub fn to_ndjson(p: &SuiteProfile) -> String {
     let mut out = String::new();
-    let mut line = |f: &dyn Fn(&mut ObjWriter<'_>)| {
-        let mut s = String::new();
-        let mut w = ObjWriter::new(&mut s);
-        f(&mut w);
-        w.finish();
-        out.push_str(&s);
-        out.push('\n');
-    };
     for wp in &p.workloads {
-        line(&|w| {
+        ndjson_line(&mut out, |w| {
             w.field_str("record", "workload")
                 .field_str("workload", &wp.workload)
                 .field_u64("barrier_executions", wp.barrier_executions)
@@ -453,7 +402,7 @@ pub fn to_ndjson(p: &SuiteProfile) -> String {
                 .field_u64("max_stw_pause", wp.max_stw_pause);
         });
         for c in &wp.keep_codes {
-            line(&|w| {
+            ndjson_line(&mut out, |w| {
                 w.field_str("record", "keep_code")
                     .field_str("workload", &wp.workload)
                     .field_str("code", &c.code)
@@ -467,7 +416,7 @@ pub fn to_ndjson(p: &SuiteProfile) -> String {
             });
         }
         for (rank, h) in wp.hot_sites.iter().enumerate() {
-            line(&|w| {
+            ndjson_line(&mut out, |w| {
                 w.field_str("record", "hot_site")
                     .field_str("workload", &wp.workload)
                     .field_u64("rank", rank as u64 + 1)
@@ -479,13 +428,13 @@ pub fn to_ndjson(p: &SuiteProfile) -> String {
             });
         }
         for ph in &wp.phases {
-            line(&|w| {
+            ndjson_line(&mut out, |w| {
                 emit_phase(w, &wp.workload, ph);
             });
         }
     }
     for c in &p.keep_codes {
-        line(&|w| {
+        ndjson_line(&mut out, |w| {
             w.field_str("record", "keep_code")
                 .field_str("workload", "__suite__")
                 .field_str("code", &c.code)
@@ -496,11 +445,11 @@ pub fn to_ndjson(p: &SuiteProfile) -> String {
         });
     }
     for ph in &p.phases {
-        line(&|w| {
+        ndjson_line(&mut out, |w| {
             emit_phase(w, "__suite__", ph);
         });
     }
-    line(&|w| {
+    ndjson_line(&mut out, |w| {
         w.field_str("record", "suite")
             .field_u64("barrier_executions", p.barrier_executions)
             .field_u64("elided_executions", p.elided_executions)
@@ -580,20 +529,7 @@ pub fn to_text(p: &SuiteProfile) -> String {
             }
         }
         let _ = writeln!(out, "  pause percentiles (work units):");
-        for ph in &wp.phases {
-            let _ = writeln!(
-                out,
-                "    {:<13}{} count {:>6}  p50 {:>6}  p90 {:>6}  p99 {:>6}  p99.9 {:>6}  max {:>6}",
-                ph.phase,
-                if ph.stw { " [STW]" } else { "      " },
-                ph.count,
-                ph.p50,
-                ph.p90,
-                ph.p99,
-                ph.p999,
-                ph.max
-            );
-        }
+        phase_lines(&mut out, &wp.phases);
     }
     let _ = writeln!(
         out,
@@ -613,7 +549,25 @@ pub fn to_text(p: &SuiteProfile) -> String {
         );
     }
     let _ = writeln!(out, "  suite pause percentiles (work units):");
-    for ph in &p.phases {
+    phase_lines(&mut out, &p.phases);
+    for (label, budget, observed) in p.slo_gates() {
+        let _ = match budget {
+            Some(b) if observed <= b => {
+                writeln!(out, "SLO OK: {label} STW pause {observed} <= budget {b}")
+            }
+            Some(b) => writeln!(
+                out,
+                "SLO VIOLATION: {label} STW pause {observed} > budget {b}"
+            ),
+            None => Ok(()),
+        };
+    }
+    out
+}
+
+fn phase_lines(out: &mut String, phases: &[PhasePercentiles]) {
+    use std::fmt::Write as _;
+    for ph in phases {
         let _ = writeln!(
             out,
             "    {:<13}{} count {:>6}  p50 {:>6}  p90 {:>6}  p99 {:>6}  p99.9 {:>6}  max {:>6}",
@@ -627,41 +581,6 @@ pub fn to_text(p: &SuiteProfile) -> String {
             ph.max
         );
     }
-    match p.slo_max_pause {
-        Some(b) if p.slo_max_ok() => {
-            let _ = writeln!(
-                out,
-                "SLO OK: max STW pause {} <= budget {b}",
-                p.max_stw_pause
-            );
-        }
-        Some(b) => {
-            let _ = writeln!(
-                out,
-                "SLO VIOLATION: max STW pause {} > budget {b}",
-                p.max_stw_pause
-            );
-        }
-        None => {}
-    }
-    match p.slo_p99_pause {
-        Some(b) if p.slo_p99_ok() => {
-            let _ = writeln!(
-                out,
-                "SLO OK: p99 STW pause {} <= budget {b}",
-                p.p99_stw_pause
-            );
-        }
-        Some(b) => {
-            let _ = writeln!(
-                out,
-                "SLO VIOLATION: p99 STW pause {} > budget {b}",
-                p.p99_stw_pause
-            );
-        }
-        None => {}
-    }
-    out
 }
 
 /// The `wbe_tool profile` driver: measures, renders, and writes or
@@ -680,42 +599,23 @@ pub fn run_profile(opts: &ProfileOptions, ndjson: bool, out_path: Option<&str>) 
     } else {
         to_text(&profile)
     };
-    match out_path {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &body) {
-                eprintln!("cannot write {path}: {e}");
-                return 2;
-            }
-            eprintln!("profile written to {path}");
-        }
-        None => print!("{body}"),
+    if !crate::emit_report(&body, out_path, "profile") {
+        return 2;
     }
     let mut violated = false;
-    if !profile.slo_max_ok() {
-        eprintln!(
-            "SLO VIOLATION: max STW pause {} > budget {}",
-            profile.max_stw_pause,
-            profile.slo_max_pause.unwrap_or(0)
-        );
-        violated = true;
+    for (label, budget, observed) in profile.slo_gates() {
+        if let Some(b) = budget.filter(|&b| observed > b) {
+            eprintln!("SLO VIOLATION: {label} STW pause {observed} > budget {b}");
+            violated = true;
+        }
     }
-    if !profile.slo_p99_ok() {
-        eprintln!(
-            "SLO VIOLATION: p99 STW pause {} > budget {}",
-            profile.p99_stw_pause,
-            profile.slo_p99_pause.unwrap_or(0)
-        );
-        violated = true;
-    }
-    if violated {
-        return 1;
-    }
-    0
+    i32::from(violated)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::UNATTRIBUTED;
 
     fn small_opts() -> ProfileOptions {
         ProfileOptions {

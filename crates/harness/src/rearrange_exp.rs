@@ -11,12 +11,11 @@
 
 use std::fmt;
 
-use wbe_heap::gc::MarkStyle;
-use wbe_interp::{
-    BarrierConfig, BarrierMode, GcPolicy, Interp, RearrangeRole, RearrangeSites, Value,
-};
-use wbe_opt::{plan_program, OptMode, PipelineConfig, ShiftRole};
+use wbe_interp::GcPolicy;
+use wbe_opt::{OptMode, PipelineConfig};
 use wbe_workloads::standard_suite;
+
+use crate::runner::{Iterations, RunSpec};
 
 /// One workload's protocol results.
 #[derive(Clone, Debug)]
@@ -53,39 +52,34 @@ pub struct RearrangeReport {
 
 /// Runs the experiment at `scale`.
 pub fn run(scale: f64) -> RearrangeReport {
-    let mut rows = Vec::new();
-    for w in standard_suite() {
-        let iters = ((w.default_iters as f64 * scale) as i64).max(64);
-        let compiled = wbe_opt::compile(&w.program, &PipelineConfig::new(OptMode::Baseline, 100));
-        let plan = plan_program(&compiled.program);
-        let mut sites = RearrangeSites::new();
-        for (m, a, role) in plan.iter() {
-            let r = match role {
-                ShiftRole::First => RearrangeRole::First,
-                ShiftRole::Member => RearrangeRole::Member,
-            };
-            sites.insert(m, a, r);
-        }
-        let config = BarrierConfig::new(BarrierMode::Checked).with_rearrange(sites);
-        let mut interp = Interp::with_style(&compiled.program, config, MarkStyle::Satb);
-        interp.set_gc_policy(GcPolicy {
+    let spec = RunSpec {
+        pipeline: PipelineConfig::new(OptMode::Baseline, 100),
+        rearrange: true,
+        gc: Some(GcPolicy {
             alloc_trigger: 200,
             step_interval: 16,
             step_budget: 4,
-        });
-        interp
-            .run(w.entry, &[Value::Int(iters)], w.fuel_for(iters))
+        }),
+        iterations: Iterations::Scaled { scale, min: 64 },
+        ..RunSpec::default()
+    };
+    let mut rows = Vec::new();
+    for w in standard_suite() {
+        let run = spec
+            .run(&w)
+            .into_result()
             .unwrap_or_else(|t| panic!("{} trapped under the protocol: {t}", w.name));
-        let summary = interp
-            .stats
-            .barrier
-            .summarize(&wbe_interp::ElidedBarriers::new());
+        let plan = run
+            .build
+            .rearrange
+            .as_ref()
+            .expect("spec plans the protocol");
         rows.push(RearrangeRow {
             name: w.name,
             groups: plan.group_count(),
-            skipped: interp.stats.rearrange_skipped,
-            total: summary.total(),
-            retraces: interp.stats.retraces_scheduled,
+            skipped: run.stats.rearrange_skipped,
+            total: run.stats.barrier.totals().0,
+            retraces: run.stats.retraces_scheduled,
         });
     }
     RearrangeReport { rows }

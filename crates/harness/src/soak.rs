@@ -36,9 +36,8 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use wbe_heap::gc::MarkStyle;
-use wbe_heap::{FaultConfig, FaultPlan, RecoveryPolicy};
-use wbe_interp::{BarrierConfig, BarrierMode, GcPolicy, Interp, Value};
+use wbe_heap::{FaultConfig, RecoveryPolicy};
+use wbe_interp::GcPolicy;
 use wbe_opt::OptMode;
 use wbe_telemetry::config::{configure, TelemetryConfig};
 use wbe_telemetry::export::chrome_trace_json;
@@ -47,7 +46,8 @@ use wbe_telemetry::trace::{self, TraceEvent};
 use wbe_workloads::standard_suite;
 
 use crate::ledger::build_ledger;
-use crate::runner::compile_workload;
+use crate::runner::{Iterations, RunSpec};
+use crate::verify::mix_seed;
 
 /// Flight-recorder capacity: the newest this many trace events survive
 /// to the crash dump. Bounded so week-long soaks can't grow without
@@ -316,25 +316,14 @@ impl FlightRecorder {
     }
 }
 
-/// Derives run `k`'s fault seed from the base seed (SplitMix64
-/// finalizer, so neighbouring runs get unrelated streams).
-fn mix_seed(seed: u64, k: u64) -> u64 {
-    let mut z = seed ^ k.wrapping_add(1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// The soak GC policy: aggressive enough that many cycles complete even
 /// at small scales, so the post-remark corruption point is consulted
-/// often.
-fn soak_policy() -> GcPolicy {
-    GcPolicy {
-        alloc_trigger: 64,
-        step_interval: 8,
-        step_budget: 4,
-    }
-}
+/// often. The baseline gate's recovery probe runs under it too.
+pub const SOAK_GC: GcPolicy = GcPolicy {
+    alloc_trigger: 64,
+    step_interval: 8,
+    step_budget: 4,
+};
 
 /// Runs the full soak. Deterministic for a given `opts` (the fault
 /// stream is seed-derived; no wall-clock feeds any decision).
@@ -356,40 +345,33 @@ pub fn run_soak(opts: &SoakOptions) -> SoakOutcome {
         for (widx, w) in suite.iter().enumerate() {
             let k = u64::from(round) * suite.len() as u64 + widx as u64;
             let seed = mix_seed(opts.seed, k);
-            let iters = ((w.default_iters as f64 * opts.scale) as i64).max(8);
             let mut cfg = FaultConfig::from_seed(seed).escalate(level);
             if opts.unrecoverable {
                 // Persistent corruption: every re-mark is re-corrupted,
                 // so the budget must exhaust and the trap must fire.
                 cfg.corrupt_mark_pm = 1000;
             }
-
-            let (compiled, elided) = compile_workload(w, OptMode::Full, 100);
-            let barrier = BarrierConfig::with_elision(BarrierMode::Checked, elided);
-            let mut interp = Interp::with_style(&compiled.program, barrier, MarkStyle::Satb);
-            interp.set_gc_policy(soak_policy());
-            interp.set_fault_plan(FaultPlan::new(cfg));
-            interp.set_verify_invariants(true);
-            interp.set_recovery(RecoveryPolicy {
-                max_attempts: opts.max_attempts,
-            });
+            let spec = RunSpec {
+                gc: Some(SOAK_GC),
+                iterations: Iterations::scaled(opts.scale),
+                faults: Some(cfg),
+                verify: true,
+                recovery: Some(RecoveryPolicy {
+                    max_attempts: opts.max_attempts,
+                }),
+                ..RunSpec::default()
+            };
 
             trace::event("soak.run.start", format!("{} round {round}", w.name));
-            let result = interp.run(w.entry, &[Value::Int(iters)], w.fuel_for(iters));
-            interp.publish_metrics();
+            let rec = spec.run(w);
 
-            let fault = interp
-                .heap
-                .fault
-                .as_ref()
-                .map(|p| p.stats)
-                .unwrap_or_default();
+            let fault = rec.heap.fault.as_ref().map(|p| p.stats).unwrap_or_default();
             let mut run = SoakRun {
                 round,
                 workload: w.name,
                 seed,
                 level,
-                iters,
+                iters: rec.iters,
                 outcome: RunOutcome::Clean,
                 trap: String::new(),
                 faults_injected: fault.injected(),
@@ -399,9 +381,9 @@ pub fn run_soak(opts: &SoakOptions) -> SoakOutcome {
                 revoked_sites: 0,
                 gated_elisions: 0,
                 ledger_joined: 0,
-                gc_cycles: interp.stats.gc_cycles,
+                gc_cycles: rec.stats.gc_cycles,
             };
-            if let Some(rc) = interp.recovery() {
+            if let Some(rc) = &rec.recovery {
                 run.recoveries_attempted = rc.stats.attempted;
                 run.recoveries_succeeded = rc.stats.succeeded;
                 run.revoked_sites = rc.stats.revoked_sites;
@@ -426,7 +408,7 @@ pub fn run_soak(opts: &SoakOptions) -> SoakOutcome {
                     }
                 }
             }
-            if let Err(trap) = result {
+            if let Err(trap) = &rec.result {
                 run.outcome = RunOutcome::Trapped;
                 run.trap = trap.to_string();
                 trace::event("soak.run.trap", format!("{}: {trap}", w.name));

@@ -9,12 +9,9 @@
 
 use std::fmt;
 
-use wbe_heap::gc::MarkStyle;
-use wbe_interp::BarrierMode;
-use wbe_opt::OptMode;
 use wbe_workloads::standard_suite;
 
-use crate::runner::run_workload;
+use crate::runner::{Iterations, RunSpec};
 
 /// One workload's static/dynamic comparison.
 #[derive(Clone, Debug)]
@@ -44,25 +41,26 @@ pub struct StaticReport {
 
 /// Runs the experiment.
 pub fn run(scale: f64) -> StaticReport {
+    let spec = RunSpec {
+        gc: None,
+        iterations: Iterations::Scaled { scale, min: 32 },
+        ..RunSpec::default()
+    };
     let mut rows = Vec::new();
     for w in standard_suite() {
-        let iters = ((w.default_iters as f64 * scale) as i64).max(32);
-        let run = run_workload(
-            &w,
-            OptMode::Full,
-            100,
-            iters,
-            BarrierMode::Checked,
-            MarkStyle::Satb,
-            None,
-        );
-        let analysis = run.compiled.analysis.as_ref().expect("mode A analyzes");
+        let run = spec.run(&w).unwrap();
+        let analysis = run
+            .build
+            .compiled
+            .analysis
+            .as_ref()
+            .expect("mode A analyzes");
         let sites: usize = analysis.methods.values().map(|m| m.barrier_sites).sum();
         let array_sites: usize = analysis.methods.values().map(|m| m.array_sites).sum();
         let elided: usize = analysis.methods.values().map(|m| m.elided.len()).sum();
-        let s = &run.summary;
+        let s = run.summary();
         rows.push(StaticRow {
-            name: run.name,
+            name: run.workload,
             sites,
             elided_sites: elided,
             static_array_pct: if sites == 0 {

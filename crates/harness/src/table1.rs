@@ -7,12 +7,9 @@
 
 use std::fmt;
 
-use wbe_heap::gc::MarkStyle;
-use wbe_interp::BarrierMode;
-use wbe_opt::OptMode;
 use wbe_workloads::standard_suite;
 
-use crate::runner::run_workload;
+use crate::runner::{Iterations, RunSpec};
 
 /// One row of Table 1.
 #[derive(Clone, Debug)]
@@ -46,22 +43,19 @@ pub struct Table1 {
 /// default iteration count (1.0 reproduces the default magnitudes;
 /// tests use smaller scales).
 pub fn run(scale: f64) -> Table1 {
-    let inline_limit = 100; // the paper's headline inlining level (§4.4)
+    // The headline configuration (mode A, inline limit 100, §4.4) with
+    // the collector idle: Table 1 counts barriers, not GC work.
+    let spec = RunSpec {
+        gc: None,
+        iterations: Iterations::scaled(scale),
+        ..RunSpec::default()
+    };
     let mut rows = Vec::new();
     for w in standard_suite() {
-        let iters = ((w.default_iters as f64 * scale) as i64).max(8);
-        let run = run_workload(
-            &w,
-            OptMode::Full,
-            inline_limit,
-            iters,
-            BarrierMode::Checked,
-            MarkStyle::Satb,
-            None,
-        );
-        let s = &run.summary;
+        let run = spec.run(&w).unwrap();
+        let s = run.summary();
         rows.push(Table1Row {
-            name: run.name,
+            name: run.workload,
             total: s.total(),
             pct_elim: s.pct_eliminated(),
             pct_potential: s.pct_potential_pre_null(),

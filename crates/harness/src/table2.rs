@@ -15,12 +15,11 @@
 
 use std::fmt;
 
-use wbe_heap::gc::MarkStyle;
 use wbe_interp::{BarrierMode, GcPolicy};
-use wbe_opt::OptMode;
+use wbe_opt::{OptMode, PipelineConfig};
 use wbe_workloads::by_name;
 
-use crate::runner::run_workload;
+use crate::runner::{Iterations, RunSpec};
 
 /// Modeled clock rate (the paper's 750 MHz UltraSPARC III).
 pub const CLOCK_HZ: f64 = 750.0e6;
@@ -48,7 +47,6 @@ pub struct Table2 {
 /// mirrors the paper's 5-run averaging without adding information).
 pub fn run(scale: f64, runs: usize) -> Table2 {
     let w = by_name("jbb").expect("jbb exists");
-    let iters = ((w.default_iters as f64 * scale) as i64).max(64);
     let mut rows = Vec::new();
     // The paper's three rows, plus a fourth showing §4.5's first
     // observation: under the ordinary *checked* barrier with marking
@@ -68,14 +66,21 @@ pub fn run(scale: f64, runs: usize) -> Table2 {
             } else {
                 OptMode::Baseline
             };
-            let policy = gc.then_some(GcPolicy {
-                alloc_trigger: 2_000,
-                step_interval: 64,
-                step_budget: 16,
-            });
-            let r = run_workload(&w, opt_mode, 100, iters, mode, MarkStyle::Satb, policy);
+            let r = RunSpec {
+                pipeline: PipelineConfig::new(opt_mode, 100),
+                barrier: mode,
+                gc: gc.then_some(GcPolicy {
+                    alloc_trigger: 2_000,
+                    step_interval: 64,
+                    step_budget: 16,
+                }),
+                iterations: Iterations::Scaled { scale, min: 64 },
+                ..RunSpec::default()
+            }
+            .run(&w)
+            .unwrap();
             let seconds = r.stats.cycles as f64 / CLOCK_HZ;
-            tput += iters as f64 / seconds;
+            tput += r.iters as f64 / seconds;
         }
         rows.push(Table2Row {
             mode: label,

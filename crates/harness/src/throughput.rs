@@ -25,12 +25,10 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use wbe_heap::gc::MarkStyle;
-use wbe_interp::{BarrierConfig, BarrierMode, Engine, EngineKind, GcPolicy, Value};
-use wbe_opt::OptMode;
+use wbe_interp::{BarrierMode, EngineKind};
 use wbe_workloads::Workload;
 
-use crate::runner::compile_workload;
+use crate::runner::{Build, Iterations, RunSpec};
 
 /// Options for the throughput bench.
 #[derive(Clone, Debug)]
@@ -60,14 +58,6 @@ impl Default for ThroughputOptions {
         }
     }
 }
-
-/// The deterministic GC policy throughput runs drive (same as
-/// `wbe_tool report` and the baselines).
-pub const GC_POLICY: GcPolicy = GcPolicy {
-    alloc_trigger: 400,
-    step_interval: 32,
-    step_budget: 4,
-};
 
 /// Deterministic per-run facts for one mutator (every mutator of a row
 /// reproduces these exactly).
@@ -143,21 +133,16 @@ fn overhead_pct(base: Duration, cfg: Duration) -> f64 {
     (cfg.as_secs_f64() - b) / b * 100.0
 }
 
-/// Runs one mutator to its instruction budget and returns its
-/// deterministic facts. The workload entry is re-run in fixed chunks
-/// (a pure function of the workload) until `duration_ops` instructions
-/// have executed, so equal options execute identical streams.
-fn run_mutator(
-    engine: &mut dyn Engine,
-    w: &Workload,
-    duration_ops: u64,
-) -> Result<MutatorFacts, wbe_interp::Trap> {
-    let chunk = (w.default_iters / 10).max(8);
-    while engine.stats().insns < duration_ops {
-        engine.run(w.entry, &[Value::Int(chunk)], w.fuel_for(chunk))?;
-    }
+/// Runs one mutator of `spec` over `build` to its instruction budget
+/// and returns its deterministic facts. The workload entry is re-run in
+/// fixed chunks (a pure function of the workload) until the budget is
+/// met, so equal options execute identical streams.
+fn run_mutator(spec: &RunSpec, build: &Build, w: &Workload) -> MutatorFacts {
+    let mut engine = spec.engine(build);
+    spec.execute(engine.as_mut(), w)
+        .unwrap_or_else(|t| panic!("workload {} trapped: {t}", w.name));
     let s = engine.stats();
-    Ok(MutatorFacts {
+    MutatorFacts {
         insns: s.insns,
         cycles: s.cycles,
         barrier_cycles: s.barrier_cycles,
@@ -165,7 +150,7 @@ fn run_mutator(
         allocs: engine.heap().stats.allocations,
         gc_cycles: engine.heap().gc.stats.cycles,
         digest: wbe_heap::debug::world_digest(engine.heap()),
-    })
+    }
 }
 
 /// Measures one workload under `opts`: the multi-mutator throughput
@@ -178,24 +163,19 @@ fn run_mutator(
 /// Panics if the workload traps or two mutators disagree on the final
 /// heap digest — both indicate engine bugs.
 pub fn measure_workload(w: &Workload, opts: &ThroughputOptions) -> ThroughputRow {
-    let (compiled, elided) = compile_workload(w, OptMode::Full, 100);
-    let program = &compiled.program;
-    let realistic = BarrierConfig::with_elision(BarrierMode::Checked, elided.clone());
+    let realistic = RunSpec {
+        engine: opts.engine,
+        iterations: Iterations::Budget(opts.duration_ops),
+        ..RunSpec::default()
+    };
+    let build = realistic.compile(&w.program);
 
     // Multi-mutator phase: N independent engines over independent
     // heaps, identical instruction streams.
     let start = Instant::now();
     let facts: Vec<MutatorFacts> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..opts.mutators)
-            .map(|_| {
-                let config = realistic.clone();
-                s.spawn(move || {
-                    let mut engine = opts.engine.build(program, config, MarkStyle::Satb);
-                    engine.set_gc_policy(GC_POLICY);
-                    run_mutator(engine.as_mut(), w, opts.duration_ops)
-                        .unwrap_or_else(|t| panic!("workload {} trapped: {t}", w.name))
-                })
-            })
+            .map(|_| s.spawn(|| run_mutator(&realistic, &build, w)))
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
@@ -212,19 +192,20 @@ pub fn measure_workload(w: &Workload, opts: &ThroughputOptions) -> ThroughputRow
     // always-log barrier still pays its cost; with the collector idle
     // the log entries are dropped, mirroring the paper's throughput
     // configuration where marking is not concurrently active).
-    let trio = |config: BarrierConfig| -> Duration {
+    let trio = |barrier: BarrierMode, elide: bool| -> Duration {
+        let spec = RunSpec {
+            barrier,
+            elide,
+            gc: None,
+            ..realistic.clone()
+        };
         let start = Instant::now();
-        let mut engine = opts.engine.build(program, config, MarkStyle::Satb);
-        run_mutator(engine.as_mut(), w, opts.duration_ops)
-            .unwrap_or_else(|t| panic!("workload {} trapped: {t}", w.name));
+        run_mutator(&spec, &build, w);
         start.elapsed()
     };
-    let wall_none = trio(BarrierConfig::new(BarrierMode::None));
-    let wall_kept = trio(BarrierConfig::new(BarrierMode::AlwaysLog));
-    let wall_elided = trio(BarrierConfig::with_elision(
-        BarrierMode::AlwaysLog,
-        elided.clone(),
-    ));
+    let wall_none = trio(BarrierMode::None, false);
+    let wall_kept = trio(BarrierMode::AlwaysLog, false);
+    let wall_elided = trio(BarrierMode::AlwaysLog, true);
 
     ThroughputRow {
         workload: w.name.to_string(),
@@ -253,10 +234,7 @@ pub fn resolve_workloads(names: &[String]) -> Result<Vec<Workload>, String> {
     if names.len() == 1 && names[0] == "all" {
         return Ok(wbe_workloads::standard_suite());
     }
-    names
-        .iter()
-        .map(|n| wbe_workloads::by_name(n).ok_or_else(|| format!("unknown workload '{n}'")))
-        .collect()
+    crate::workloads_named(names)
 }
 
 /// Runs the bench over the resolved workloads.

@@ -22,14 +22,11 @@
 
 use std::fmt;
 
-use wbe_heap::gc::MarkStyle;
-use wbe_heap::{debug, FaultPlan, FaultStats};
-use wbe_interp::{BarrierConfig, BarrierMode, ElidedBarriers, GcPolicy, Interp, Trap, Value};
-use wbe_ir::{MethodId, Program};
-use wbe_opt::OptMode;
+use wbe_heap::{debug, FaultConfig, FaultStats};
+use wbe_interp::{GcPolicy, Trap, Value};
 use wbe_workloads::Workload;
 
-use crate::runner::compile_workload;
+use crate::runner::{Build, Iterations, RunSpec};
 
 /// Options for one verification sweep.
 #[derive(Clone, Copy, Debug)]
@@ -127,22 +124,38 @@ impl fmt::Display for WorkloadVerdict {
     }
 }
 
-/// Derives schedule `k`'s seed from the base seed (SplitMix64
-/// finalizer, so neighbouring `k` give unrelated streams).
-fn mix_seed(seed: u64, k: u64) -> u64 {
+/// Derives schedule (or soak run) `k`'s seed from the base seed
+/// (SplitMix64 finalizer, so neighbouring `k` give unrelated streams).
+pub(crate) fn mix_seed(seed: u64, k: u64) -> u64 {
     let mut z = seed ^ k.wrapping_add(1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
 }
 
-/// The GC policy used for every verification run: aggressive enough
-/// that several cycles complete even at small scales.
-fn verify_policy() -> GcPolicy {
-    GcPolicy {
-        alloc_trigger: 200,
-        step_interval: 16,
-        step_budget: 4,
+/// The spec every verification run starts from: a GC policy
+/// aggressive enough that several cycles complete even at small
+/// scales, and heap invariants verified at every cycle boundary.
+fn verify_spec(opts: &VerifyOptions) -> RunSpec {
+    RunSpec {
+        gc: Some(GcPolicy {
+            alloc_trigger: 200,
+            step_interval: 16,
+            step_budget: 4,
+        }),
+        iterations: Iterations::scaled(opts.scale),
+        verify: true,
+        ..RunSpec::default()
+    }
+}
+
+/// `spec` with the analysis' elision set on or off, under an optional
+/// seeded fault schedule.
+fn variant(spec: &RunSpec, elide: bool, fault_seed: Option<u64>) -> RunSpec {
+    RunSpec {
+        elide,
+        faults: fault_seed.map(FaultConfig::from_seed),
+        ..spec.clone()
     }
 }
 
@@ -154,60 +167,41 @@ struct RunOutcome {
     gc_cycles: u64,
 }
 
-fn run_one(
-    program: &Program,
-    entry: MethodId,
-    iters: i64,
-    fuel: u64,
-    elided: ElidedBarriers,
-    fault_seed: Option<u64>,
-) -> Result<RunOutcome, Trap> {
-    let config = BarrierConfig::with_elision(BarrierMode::Checked, elided);
-    let mut interp = Interp::with_style(program, config, MarkStyle::Satb);
-    interp.set_gc_policy(verify_policy());
-    if let Some(seed) = fault_seed {
-        interp.set_fault_plan(FaultPlan::from_seed(seed));
-    }
-    interp.set_verify_invariants(true);
-    let result = interp.run(entry, &[Value::Int(iters)], fuel)?;
-    let roots = interp.heap.static_roots();
-    let graph = debug::graph_stats(&interp.heap, &roots);
+/// Runs `spec` over a shared `build` (whose elision set the demo edits
+/// by hand) and collects the schedule-independent observables.
+fn run_one(spec: &RunSpec, build: &Build, w: &Workload) -> Result<RunOutcome, Trap> {
+    let mut engine = spec.engine(build);
+    let result = spec.execute(engine.as_mut(), w)?;
+    let heap = engine.heap();
+    let graph = debug::graph_stats(heap, &heap.static_roots());
     Ok(RunOutcome {
         obs: Observables {
             result,
-            allocations: interp.heap.stats.allocations,
+            allocations: heap.stats.allocations,
             reachable: graph.reachable,
         },
-        fault: interp.heap.fault.as_ref().map(|p| p.stats),
-        digest: interp.heap.fault.as_ref().map(|p| p.digest()),
-        emergency_pauses: interp.stats.emergency_pauses,
-        gc_cycles: interp.stats.gc_cycles,
+        fault: heap.fault.as_ref().map(|p| p.stats),
+        digest: heap.fault.as_ref().map(|p| p.digest()),
+        emergency_pauses: engine.stats().emergency_pauses,
+        gc_cycles: engine.stats().gc_cycles,
     })
 }
 
 /// Runs the full differential sweep for one workload.
 pub fn verify_workload(w: &Workload, opts: &VerifyOptions) -> WorkloadVerdict {
-    let (compiled, elided) = compile_workload(w, OptMode::Full, 100);
-    let iters = ((w.default_iters as f64 * opts.scale) as i64).max(8);
-    let fuel = w.fuel_for(iters);
+    let spec = verify_spec(opts);
+    let build = spec.compile(&w.program);
     let mut verdict = WorkloadVerdict {
         name: w.name,
         schedules: opts.schedules,
-        elided_sites: elided.len(),
+        elided_sites: build.elided.len(),
         faults_injected: 0,
         emergency_pauses: 0,
         gc_cycles: 0,
         problems: Vec::new(),
     };
 
-    let baseline = match run_one(
-        &compiled.program,
-        w.entry,
-        iters,
-        fuel,
-        ElidedBarriers::new(),
-        None,
-    ) {
+    let baseline = match run_one(&variant(&spec, false, None), &build, w) {
         Ok(out) => out,
         Err(t) => {
             verdict.problems.push(format!("baseline run trapped: {t}"));
@@ -218,11 +212,8 @@ pub fn verify_workload(w: &Workload, opts: &VerifyOptions) -> WorkloadVerdict {
     let mut first_digest: Option<u64> = None;
     for k in 0..opts.schedules {
         let seed = mix_seed(opts.seed, u64::from(k));
-        for (label, el) in [
-            ("elided", elided.clone()),
-            ("full-barrier", ElidedBarriers::new()),
-        ] {
-            match run_one(&compiled.program, w.entry, iters, fuel, el, Some(seed)) {
+        for (label, elide) in [("elided", true), ("full-barrier", false)] {
+            match run_one(&variant(&spec, elide, Some(seed)), &build, w) {
                 Ok(out) => {
                     if out.obs != baseline.obs {
                         verdict.problems.push(format!(
@@ -249,7 +240,7 @@ pub fn verify_workload(w: &Workload, opts: &VerifyOptions) -> WorkloadVerdict {
     // same decision stream (digest covers every decision taken).
     if let Some(d0) = first_digest {
         let seed = mix_seed(opts.seed, 0);
-        match run_one(&compiled.program, w.entry, iters, fuel, elided, Some(seed)) {
+        match run_one(&variant(&spec, true, Some(seed)), &build, w) {
             Ok(out) if out.digest != Some(d0) => verdict.problems.push(format!(
                 "seed {seed:#018x} did not reproduce its fault schedule \
                  (digest {:?} vs {d0:#x})",
@@ -280,27 +271,24 @@ pub enum DemoOutcome {
 /// the most-executed site that observes non-null pre-values under full
 /// barriers — and runs the sweep expecting detection.
 pub fn demo_unsound_detection(w: &Workload, opts: &VerifyOptions) -> DemoOutcome {
-    let (compiled, sound) = compile_workload(w, OptMode::Full, 100);
-    let iters = ((w.default_iters as f64 * opts.scale) as i64).max(8);
-    let fuel = w.fuel_for(iters);
+    let spec = verify_spec(opts);
+    let full_barrier = variant(&spec, false, None);
+    let mut build = spec.compile(&w.program);
 
     // Profile under full barriers to find a site whose pre-value is
     // sometimes non-null — exactly what a sound elision must never touch.
-    let mut profiler = Interp::with_style(
-        &compiled.program,
-        BarrierConfig::new(BarrierMode::Checked),
-        MarkStyle::Satb,
-    );
-    profiler.set_gc_policy(verify_policy());
-    if let Err(t) = profiler.run(w.entry, &[Value::Int(iters)], fuel) {
+    let mut profiler = full_barrier.engine(&build);
+    if let Err(t) = full_barrier.execute(profiler.as_mut(), w) {
         return DemoOutcome::Missed(format!("{}: profiling run trapped: {t}", w.name));
     }
     let target = profiler
-        .stats
+        .stats()
         .barrier
         .iter()
-        .filter(|((m, a, _), s)| s.pre_null < s.executions && !sound.contains(*m, *a))
-        .max_by_key(|(_, s)| s.executions - s.pre_null)
+        .filter(|((m, a, _), s)| s.pre_null < s.executions && !build.elided.contains(*m, *a))
+        // Ties go to the lowest site, so the target does not depend on
+        // the stats map's iteration order.
+        .max_by_key(|&(&(m, a, _), s)| (s.executions - s.pre_null, std::cmp::Reverse((m, a))))
         .map(|((m, a, _), _)| (*m, *a));
     let Some((m, a)) = target else {
         return DemoOutcome::NoCandidate(format!(
@@ -310,29 +298,16 @@ pub fn demo_unsound_detection(w: &Workload, opts: &VerifyOptions) -> DemoOutcome
         ));
     };
 
-    let mut unsound = sound.clone();
-    unsound.insert(m, a);
-    let baseline = match run_one(
-        &compiled.program,
-        w.entry,
-        iters,
-        fuel,
-        ElidedBarriers::new(),
-        None,
-    ) {
+    drop(profiler);
+    // The unsound elision set: the analysis' set plus the target.
+    build.elided.insert(m, a);
+    let baseline = match run_one(&full_barrier, &build, w) {
         Ok(out) => out,
         Err(t) => return DemoOutcome::Missed(format!("{}: baseline run trapped: {t}", w.name)),
     };
     for k in 0..opts.schedules.max(1) {
         let seed = mix_seed(opts.seed, u64::from(k));
-        match run_one(
-            &compiled.program,
-            w.entry,
-            iters,
-            fuel,
-            unsound.clone(),
-            Some(seed),
-        ) {
+        match run_one(&variant(&spec, true, Some(seed)), &build, w) {
             Err(t) => {
                 return DemoOutcome::Detected(format!(
                     "{}: unsound elision of {m} {a} detected on schedule {k}: {t}",

@@ -12,24 +12,14 @@
 
 use std::collections::BTreeMap;
 
-use wbe_harness::runner::compile_workload_with;
-use wbe_heap::gc::MarkStyle;
-use wbe_heap::{FaultConfig, FaultPlan, RecoveryPolicy};
-use wbe_interp::{
-    BarrierConfig, BarrierMode, ElidedBarriers, EngineKind, GcPolicy, SiteStats, Trap, Value,
-};
-use wbe_opt::{Compiled, OptMode, PipelineConfig};
+use wbe_harness::runner::{Iterations, RunSpec};
+use wbe_heap::{FaultConfig, RecoveryPolicy};
+use wbe_interp::{EngineKind, SiteStats, Trap, Value};
+use wbe_opt::{OptMode, PipelineConfig};
 use wbe_workloads::Workload;
 
 /// Iteration scale (fraction of each workload's default count).
 const SCALE: f64 = 0.05;
-
-/// Deterministic marking schedule shared by every run in this file.
-const GC: GcPolicy = GcPolicy {
-    alloc_trigger: 400,
-    step_interval: 32,
-    step_budget: 4,
-};
 
 /// Seeds for the fault-plan leg. The first is the baselines' pinned
 /// recovery seed; the second is an arbitrary different stream.
@@ -63,29 +53,28 @@ struct Observed {
     recovery: Option<(u64, u64)>,
 }
 
-/// Runs `w` once under `kind` and snapshots every observable.
-fn observe(
-    kind: EngineKind,
-    compiled: &Compiled,
-    elided: &ElidedBarriers,
-    w: &Workload,
-    fault_seed: Option<u64>,
-) -> Observed {
-    let config = BarrierConfig::with_elision(BarrierMode::Checked, elided.clone());
-    let mut engine = kind.build(&compiled.program, config, MarkStyle::Satb);
-    engine.set_gc_policy(GC);
-    if let Some(seed) = fault_seed {
-        engine.set_fault_plan(FaultPlan::new(FaultConfig {
+/// The headline configuration with the ledger on, optionally under a
+/// seeded fault plan with verification and recovery armed.
+fn spec(engine: EngineKind, fault_seed: Option<u64>) -> RunSpec {
+    let armed = fault_seed.is_some();
+    RunSpec {
+        pipeline: PipelineConfig::new(OptMode::Full, 100).with_ledger(),
+        engine,
+        iterations: Iterations::scaled(SCALE),
+        faults: fault_seed.map(|seed| FaultConfig {
             corrupt_mark_pm: CORRUPT_PM,
             ..FaultConfig::from_seed(seed)
-        }));
-        engine.set_verify_invariants(true);
-        engine.set_recovery(RecoveryPolicy { max_attempts: 5 });
+        }),
+        verify: armed,
+        recovery: armed.then_some(RecoveryPolicy { max_attempts: 5 }),
+        ..RunSpec::default()
     }
-    let iters = ((w.default_iters as f64 * SCALE) as i64).max(8);
-    let result = engine.run(w.entry, &[Value::Int(iters)], w.fuel_for(iters));
+}
 
-    let s = engine.stats();
+/// Runs `w` once under `kind` and snapshots every observable.
+fn observe(kind: EngineKind, w: &Workload, fault_seed: Option<u64>) -> Observed {
+    let run = spec(kind, fault_seed).run(w);
+    let s = &run.stats;
     let mut barrier_map: Vec<_> = s
         .barrier
         .iter()
@@ -96,23 +85,12 @@ fn observe(
     // The profiler's keep-code join: barrier cycles at kept sites
     // attributed to the ledger's keep reason.
     let mut ledger_join = BTreeMap::new();
-    if let Some(ledger) = compiled.ledger.as_ref() {
-        let index = ledger.index();
-        for (&(mid, addr, _), stats) in s.barrier.iter() {
-            if elided.contains(mid, addr) {
-                continue;
-            }
-            let method = compiled.program.method(mid).name.as_str();
-            let code = index
-                .get(&(method, addr.block.index(), addr.index))
-                .filter(|rec| !rec.keep_code.is_empty())
-                .map_or_else(|| "unattributed".to_string(), |rec| rec.keep_code.clone());
-            *ledger_join.entry(code).or_insert(0) += stats.cycles;
-        }
+    for kept in run.kept_sites() {
+        *ledger_join.entry(kept.keep_code.to_string()).or_insert(0) += kept.stats.cycles;
     }
 
     Observed {
-        result,
+        result: run.result.clone(),
         insns: s.insns,
         cycles: s.cycles,
         barrier_cycles: s.barrier_cycles,
@@ -127,18 +105,17 @@ fn observe(
         pauses: format!("{:?}", s.pauses),
         barrier_map,
         ledger_join,
-        digest: wbe_heap::debug::world_digest(engine.heap()),
-        recovery: engine
-            .recovery()
+        digest: wbe_heap::debug::world_digest(&run.heap),
+        recovery: run
+            .recovery
+            .as_ref()
             .map(|rc| (rc.stats.attempted, rc.stats.succeeded)),
     }
 }
 
 fn assert_equivalent(w: &Workload, fault_seed: Option<u64>) {
-    let cfg = PipelineConfig::new(OptMode::Full, 100).with_ledger();
-    let (compiled, elided) = compile_workload_with(w, &cfg);
-    let classic = observe(EngineKind::Classic, &compiled, &elided, w, fault_seed);
-    let compiled_obs = observe(EngineKind::Compiled, &compiled, &elided, w, fault_seed);
+    let classic = observe(EngineKind::Classic, w, fault_seed);
+    let compiled_obs = observe(EngineKind::Compiled, w, fault_seed);
     assert_eq!(
         classic, compiled_obs,
         "{} (fault_seed {fault_seed:?}): engines diverged",
@@ -182,13 +159,14 @@ fn six_workloads_equivalent_under_seeded_faults() {
 #[test]
 fn fuel_exhaustion_traps_identically() {
     for w in &wbe_workloads::standard_suite() {
-        let cfg = PipelineConfig::new(OptMode::Full, 100).with_ledger();
-        let (compiled, elided) = compile_workload_with(w, &cfg);
+        let build = RunSpec::default().compile(&w.program);
         for fuel in [1u64, 97, 1000] {
-            let run = |kind: EngineKind| {
-                let config = BarrierConfig::with_elision(BarrierMode::Checked, elided.clone());
-                let mut engine = kind.build(&compiled.program, config, MarkStyle::Satb);
-                engine.set_gc_policy(GC);
+            let run = |engine: EngineKind| {
+                let mut engine = RunSpec {
+                    engine,
+                    ..RunSpec::default()
+                }
+                .engine(&build);
                 let r = engine.run(w.entry, &[Value::Int(1 << 20)], fuel);
                 (r, engine.stats().insns, engine.stats().cycles)
             };

@@ -13,30 +13,27 @@
 //! Lives in its own integration-test file so it owns the process: no
 //! other test can touch the process-global registry first.
 
-use wbe_harness::runner::compile_workload_with;
-use wbe_heap::gc::MarkStyle;
-use wbe_interp::{BarrierConfig, BarrierMode, EngineKind, GcPolicy, Value};
-use wbe_opt::{OptMode, PipelineConfig};
+use wbe_harness::runner::{Iterations, RunSpec};
+use wbe_interp::EngineKind;
 
 #[test]
 fn disabled_telemetry_makes_no_registry_calls() {
     wbe_telemetry::configure(wbe_telemetry::TelemetryConfig::off());
 
     let w = wbe_workloads::by_name("db").expect("db is a standard workload");
-    let cfg = PipelineConfig::new(OptMode::Full, 100);
-    let (compiled, elided) = compile_workload_with(&w, &cfg);
-    let iters = ((w.default_iters as f64 * 0.05) as i64).max(8);
+    let spec = RunSpec {
+        iterations: Iterations::scaled(0.05),
+        ..RunSpec::default()
+    };
+    let build = spec.compile(&w.program);
 
     for kind in [EngineKind::Classic, EngineKind::Compiled] {
-        let config = BarrierConfig::with_elision(BarrierMode::Checked, elided.clone());
-        let mut engine = kind.build(&compiled.program, config, MarkStyle::Satb);
-        engine.set_gc_policy(GcPolicy {
-            alloc_trigger: 400,
-            step_interval: 32,
-            step_budget: 4,
-        });
-        engine
-            .run(w.entry, &[Value::Int(iters)], w.fuel_for(iters))
+        let spec = RunSpec {
+            engine: kind,
+            ..spec.clone()
+        };
+        let mut engine = spec.engine(&build);
+        spec.execute(engine.as_mut(), &w)
             .unwrap_or_else(|t| panic!("{}: trapped: {t}", kind.name()));
         // The run-boundary publish is the one place the engines talk to
         // the registry; it must bail out before resolving any metric.
@@ -60,10 +57,13 @@ fn disabled_telemetry_makes_no_registry_calls() {
         metrics: true,
         tracing: false,
     });
-    let config = BarrierConfig::with_elision(BarrierMode::Checked, elided.clone());
-    let mut engine = EngineKind::Compiled.build(&compiled.program, config, MarkStyle::Satb);
-    engine
-        .run(w.entry, &[Value::Int(iters)], w.fuel_for(iters))
+    let spec = RunSpec {
+        engine: EngineKind::Compiled,
+        gc: None,
+        ..spec
+    };
+    let mut engine = spec.engine(&build);
+    spec.execute(engine.as_mut(), &w)
         .unwrap_or_else(|t| panic!("enabled run trapped: {t}"));
     let snap = wbe_telemetry::registry::global().snapshot();
     assert!(

@@ -53,7 +53,7 @@ pub enum StwError {
     /// A wait exceeded the coordinator's deadline: some thread never
     /// reached the expected safepoint state.
     Timeout {
-        /// What the wait was for (`"parks"`, `"resume"`).
+        /// What the wait was for (`"parks"`, `"resume"`, `"snapshot"`).
         waiting_for: &'static str,
         /// Backoff iterations spent before giving up.
         spins: u64,
@@ -61,6 +61,9 @@ pub enum StwError {
     /// The marker thread panicked; its concurrent work is lost and the
     /// cycle cannot be finished.
     MarkerPanicked,
+    /// The marker gave up before taking its snapshot (the ack handshake
+    /// timed out, or the cycle was stopped first).
+    NoSnapshot,
 }
 
 impl fmt::Display for StwError {
@@ -73,6 +76,7 @@ impl fmt::Display for StwError {
                 )
             }
             StwError::MarkerPanicked => f.write_str("marker thread panicked"),
+            StwError::NoSnapshot => f.write_str("marker abandoned the cycle before its snapshot"),
         }
     }
 }
@@ -120,6 +124,11 @@ const PHASE_IDLE: u8 = 0;
 const PHASE_ARMED: u8 = 1;
 const PHASE_MARKING: u8 = 2;
 const PHASE_STOPPING: u8 = 3;
+
+/// Snapshot states of one cycle, published by the marker thread.
+const SNAPSHOT_PENDING: u8 = 0;
+const SNAPSHOT_TAKEN: u8 = 1;
+const SNAPSHOT_ABANDONED: u8 = 2;
 
 /// Monotonic counters kept by the safepoint coordinator.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -461,6 +470,7 @@ pub struct ConcurrentCycle {
     heap: Arc<Mutex<Heap>>,
     ctl: Arc<SafepointCtl>,
     stop: Arc<AtomicBool>,
+    snapshot: Arc<AtomicU8>,
     marker: Option<thread::JoinHandle<u64>>,
 }
 
@@ -481,7 +491,8 @@ impl ConcurrentCycle {
     ///
     /// Registered mutators must keep polling
     /// [`MutatorHandle::safepoint`] (or retire); otherwise the snapshot
-    /// handshake never completes.
+    /// handshake never completes. `start` returns before the snapshot;
+    /// [`ConcurrentCycle::wait_for_snapshot`] waits for it.
     ///
     /// # Errors
     ///
@@ -506,12 +517,18 @@ impl ConcurrentCycle {
         }
         let epoch = ctl.epoch.fetch_add(1, Ordering::SeqCst) + 1;
         let stop = Arc::new(AtomicBool::new(false));
+        let snapshot = Arc::new(AtomicU8::new(SNAPSHOT_PENDING));
         let marker = {
             let heap = Arc::clone(&heap);
             let ctl = Arc::clone(&ctl);
             let stop = Arc::clone(&stop);
+            let snapshot = Arc::clone(&snapshot);
             let roots = roots.to_vec();
             thread::spawn(move || {
+                let abandon = || {
+                    snapshot.store(SNAPSHOT_ABANDONED, Ordering::Release);
+                    0
+                };
                 // Snapshot handshake: every live mutator acks first.
                 // Bounded — a mutator that stops polling abandons the
                 // cycle (finish() reports `cycle_ran: false`) instead of
@@ -519,12 +536,12 @@ impl ConcurrentCycle {
                 let mut backoff = Backoff::new(ctl.wait_timeout());
                 while !ctl.all_acked(epoch) {
                     if stop.load(Ordering::Acquire) {
-                        return 0; // finished before the handshake
+                        return abandon(); // finished before the handshake
                     }
                     ctl.c_handshake_spins.fetch_add(1, Ordering::SeqCst);
                     if !backoff.wait() {
                         let _ = ctl.watchdog_timeout("acks", backoff.spins);
-                        return 0;
+                        return abandon();
                     }
                 }
                 {
@@ -535,8 +552,9 @@ impl ConcurrentCycle {
                     if h.gc.try_begin_marking(&mut h.store, &all_roots).is_err() {
                         // Checked at start(); only reachable if the
                         // driver started a cycle behind our back.
-                        return 0;
+                        return abandon();
                     }
+                    snapshot.store(SNAPSHOT_TAKEN, Ordering::Release);
                     // Publish MARKING while still inside the snapshot's
                     // critical section; losing the race to a concurrent
                     // finish() (PHASE_STOPPING) is fine — the remark
@@ -567,8 +585,33 @@ impl ConcurrentCycle {
             heap,
             ctl,
             stop,
+            snapshot,
             marker: Some(marker),
         })
+    }
+
+    /// Waits until the marker has taken its snapshot. From then on the
+    /// collector is marking: objects allocated under the heap lock are
+    /// allocated black and stores must log.
+    ///
+    /// # Errors
+    ///
+    /// * [`StwError::NoSnapshot`] if the marker abandoned the cycle
+    ///   before its snapshot.
+    /// * [`StwError::Timeout`] if the snapshot is not taken within the
+    ///   coordinator's deadline.
+    pub fn wait_for_snapshot(&self) -> Result<(), StwError> {
+        let mut backoff = Backoff::new(self.ctl.wait_timeout());
+        loop {
+            match self.snapshot.load(Ordering::Acquire) {
+                SNAPSHOT_TAKEN => return Ok(()),
+                SNAPSHOT_ABANDONED => return Err(StwError::NoSnapshot),
+                _ if !backoff.wait() => {
+                    return Err(self.ctl.watchdog_timeout("snapshot", backoff.spins))
+                }
+                _ => {}
+            }
+        }
     }
 
     /// Stop-the-world rendezvous: requests a stop, waits for every
@@ -669,21 +712,35 @@ mod tests {
             (root, children)
         };
         let cycle = ConcurrentCycle::start(Arc::clone(&heap), ctl, &[root], 4).unwrap();
+        // `start` returns before the snapshot; allocations made before
+        // it would be ordinary white garbage.
+        cycle.wait_for_snapshot().unwrap();
         // Mutator keeps allocating while the marker runs.
         for _ in 0..20 {
             let mut h = heap.lock();
             let _ = h.alloc_object(0, &[]).unwrap();
         }
+        // One post-snapshot object is linked into the graph through a
+        // pre-null field of the last child.
+        let linked = {
+            let mut h = heap.lock();
+            let linked = h.alloc_object(0, &[]).unwrap();
+            h.set_field(children[49], 0, Value::from(linked)).unwrap();
+            linked
+        };
         let report = cycle.finish(&[root]).unwrap();
         assert!(report.cycle_ran);
         let h = heap.lock();
-        for c in children {
+        for &c in &children {
             assert!(h.gc.is_marked(c));
         }
         // New allocations were black, so the pause never scanned them
         // and the in-rendezvous sweep freed nothing reachable.
         assert!(report.pause.objects_scanned <= 51);
         assert_eq!(report.swept, 0);
+        assert!(h.gc.is_marked(linked), "allocated black after the snapshot");
+        assert!(h.store.is_live(linked), "survives the sweep");
+        assert_eq!(h.get_field(children[49], 0).unwrap(), Value::from(linked));
     }
 
     #[test]

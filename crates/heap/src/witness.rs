@@ -28,9 +28,12 @@
 //! because the barrier decision at a store only needs the facts in
 //! force at that store. Nor is it transitively closed over the existing
 //! points-to graph at escape time (only values stored *into* an escaped
-//! object afterwards escape); this under-approximates escapement, which
-//! is the safe direction for an upper-bound instrument — it can only
-//! make the oracle report *less* refutation headroom, never more.
+//! object afterwards escape). This under-approximates escapement, so
+//! fewer receivers count as escaped and more kept sites carry a
+//! thread-local refutation: it can only *add* refutation headroom,
+//! never remove it. That is still the safe direction for an
+//! upper-bound instrument — the reported ceiling may overstate what a
+//! perfect analysis could elide, but never understates it.
 //!
 //! The table is updated inside the shared raw heap writes
 //! ([`crate::Heap::set_field`] / `set_elem` / `set_static`) and the

@@ -4,14 +4,12 @@
 //! the paper used to find the null-or-same and array-rearrangement
 //! opportunities.
 //!
-//! Run with: `cargo run --example barrier_profile -- [workload] [iters]`
+//! Run with: `cargo run --example barrier_profile -- [workload] [scale]`
 
 use std::collections::HashMap;
 
-use wbe_repro::harness::runner::run_workload;
-use wbe_repro::heap::gc::MarkStyle;
-use wbe_repro::interp::{BarrierMode, StoreKind};
-use wbe_repro::opt::OptMode;
+use wbe_repro::harness::runner::{Iterations, RunSpec};
+use wbe_repro::interp::StoreKind;
 use wbe_repro::workloads::by_name;
 
 fn main() {
@@ -21,22 +19,17 @@ fn main() {
         eprintln!("unknown workload '{name}' (jess|db|javac|mtrt|jack|jbb)");
         std::process::exit(2);
     });
-    let iters: i64 = args
-        .next()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(w.default_iters / 10);
+    let scale: f64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(0.1);
 
-    let run = run_workload(
-        &w,
-        OptMode::Full,
-        100,
-        iters,
-        BarrierMode::Checked,
-        MarkStyle::Satb,
-        None,
-    );
-    let s = &run.summary;
-    println!("workload {name} ({iters} iterations)");
+    let run = RunSpec {
+        gc: None,
+        iterations: Iterations::scaled(scale),
+        ..RunSpec::default()
+    }
+    .run(&w)
+    .unwrap();
+    let s = run.summary();
+    println!("workload {name} ({} iterations)", run.iters);
     println!(
         "barriers: {} total | {:.1}% eliminated | {:.1}% potentially pre-null",
         s.total(),
@@ -56,10 +49,11 @@ fn main() {
         .stats
         .barrier
         .iter()
-        .filter(|((m, a, _), _)| !run.elided.contains(*m, *a))
+        .filter(|((m, a, _), _)| !run.build.elided.contains(*m, *a))
         .collect();
     sites.sort_by_key(|(_, st)| std::cmp::Reverse(st.executions));
     let names: HashMap<_, _> = run
+        .build
         .compiled
         .program
         .iter_methods()

@@ -7,10 +7,8 @@
 //!
 //! Run with: `cargo run --example inline_sweep`
 
-use wbe_repro::harness::runner::run_workload;
-use wbe_repro::heap::gc::MarkStyle;
-use wbe_repro::interp::BarrierMode;
-use wbe_repro::opt::OptMode;
+use wbe_repro::harness::runner::{Iterations, RunSpec};
+use wbe_repro::opt::{OptMode, PipelineConfig};
 use wbe_repro::workloads::standard_suite;
 
 fn main() {
@@ -20,19 +18,20 @@ fn main() {
         "workload", 0, 25, 50, 100, 200
     );
     for w in standard_suite() {
-        let iters = (w.default_iters / 10).max(32);
         let mut cells = Vec::new();
         for &limit in &limits {
-            let run = run_workload(
-                &w,
-                OptMode::Full,
-                limit,
-                iters,
-                BarrierMode::Checked,
-                MarkStyle::Satb,
-                None,
-            );
-            cells.push(run.summary.pct_eliminated());
+            let run = RunSpec {
+                pipeline: PipelineConfig::new(OptMode::Full, limit),
+                gc: None,
+                iterations: Iterations::Scaled {
+                    scale: 0.1,
+                    min: 32,
+                },
+                ..RunSpec::default()
+            }
+            .run(&w)
+            .unwrap();
+            cells.push(run.summary().pct_eliminated());
         }
         println!(
             "{:<9} {:>6.1} {:>6.1} {:>6.1} {:>6.1} {:>6.1}",

@@ -2,31 +2,34 @@
 //! (inline → analyze → elide → execute) with the soundness oracle and
 //! policy-driven garbage collection, under both marker styles.
 
-use wbe_repro::harness::runner::{compile_workload_with, run_workload};
+use wbe_repro::harness::runner::{Iterations, RunSpec};
 use wbe_repro::heap::gc::MarkStyle;
-use wbe_repro::interp::{BarrierConfig, BarrierMode, GcPolicy, Interp, Value};
+use wbe_repro::interp::GcPolicy;
 use wbe_repro::opt::{OptMode, PipelineConfig};
 use wbe_repro::workloads::standard_suite;
+
+/// A marking schedule aggressive enough to cycle at reduced scale.
+const BUSY_GC: GcPolicy = GcPolicy {
+    alloc_trigger: 50,
+    step_interval: 32,
+    step_budget: 8,
+};
 
 /// The whole suite runs clean with elision armed and SATB GC active.
 #[test]
 fn suite_with_elision_and_satb_gc() {
     for w in standard_suite() {
-        let iters = (w.default_iters / 10).max(64);
-        let run = run_workload(
-            &w,
-            OptMode::Full,
-            100,
-            iters,
-            BarrierMode::Checked,
-            MarkStyle::Satb,
-            Some(GcPolicy {
-                alloc_trigger: 50,
-                step_interval: 32,
-                step_budget: 8,
-            }),
-        );
-        assert!(run.summary.total() > 0, "{}", w.name);
+        let run = RunSpec {
+            gc: Some(BUSY_GC),
+            iterations: Iterations::Scaled {
+                scale: 0.1,
+                min: 64,
+            },
+            ..RunSpec::default()
+        }
+        .run(&w)
+        .unwrap();
+        assert!(run.summary().total() > 0, "{}", w.name);
         assert!(
             run.stats.gc_cycles > 0,
             "{}: GC should cycle at this scale",
@@ -43,20 +46,18 @@ fn suite_with_elision_and_satb_gc() {
 #[test]
 fn suite_with_incremental_update_gc() {
     for w in standard_suite() {
-        let iters = (w.default_iters / 20).max(32);
-        let run = run_workload(
-            &w,
-            OptMode::Baseline,
-            100,
-            iters,
-            BarrierMode::Checked,
-            MarkStyle::IncrementalUpdate,
-            Some(GcPolicy {
-                alloc_trigger: 50,
-                step_interval: 32,
-                step_budget: 8,
-            }),
-        );
+        let run = RunSpec {
+            pipeline: PipelineConfig::new(OptMode::Baseline, 100),
+            style: MarkStyle::IncrementalUpdate,
+            gc: Some(BUSY_GC),
+            iterations: Iterations::Scaled {
+                scale: 0.05,
+                min: 32,
+            },
+            ..RunSpec::default()
+        }
+        .run(&w)
+        .unwrap();
         assert!(run.stats.gc_cycles > 0, "{}", w.name);
     }
 }
@@ -66,24 +67,20 @@ fn suite_with_incremental_update_gc() {
 #[test]
 fn elision_is_semantically_transparent() {
     let w = wbe_repro::workloads::by_name("jess").unwrap();
-    let iters = 200;
-
     let run_with = |elide: bool| {
-        let cfg = PipelineConfig::new(OptMode::Full, 100);
-        let (compiled, elided) = compile_workload_with(&w, &cfg);
-        let bc = if elide {
-            BarrierConfig::with_elision(BarrierMode::Checked, elided)
-        } else {
-            BarrierConfig::new(BarrierMode::Checked)
-        };
-        let mut interp = Interp::new(&compiled.program, bc);
-        interp
-            .run(w.entry, &[Value::Int(iters)], w.fuel_for(iters))
-            .unwrap();
+        let run = RunSpec {
+            elide,
+            gc: None,
+            // 200 iterations of jess.
+            iterations: Iterations::scaled(0.1),
+            ..RunSpec::default()
+        }
+        .run(&w)
+        .unwrap();
         (
-            interp.heap.stats.allocations,
-            interp.heap.store.live_count(),
-            interp.stats.insns,
+            run.heap.stats.allocations,
+            run.heap.store.live_count(),
+            run.stats.insns,
         )
     };
     assert_eq!(run_with(false), run_with(true));
@@ -94,15 +91,17 @@ fn elision_is_semantically_transparent() {
 #[test]
 fn combined_elisions_pass_the_oracle() {
     for w in standard_suite() {
-        let iters = (w.default_iters / 10).max(32);
-        let cfg = PipelineConfig::new(OptMode::Full, 100).with_null_or_same();
-        let (compiled, elided) = compile_workload_with(&w, &cfg);
-        let bc = BarrierConfig::with_elision(BarrierMode::Checked, elided);
-        let mut interp = Interp::new(&compiled.program, bc);
-        interp.set_gc_policy(GcPolicy::default());
-        interp
-            .run(w.entry, &[Value::Int(iters)], w.fuel_for(iters))
-            .unwrap_or_else(|t| panic!("{}: {t}", w.name));
+        let _ = RunSpec {
+            pipeline: PipelineConfig::new(OptMode::Full, 100).with_null_or_same(),
+            gc: Some(GcPolicy::default()),
+            iterations: Iterations::Scaled {
+                scale: 0.1,
+                min: 32,
+            },
+            ..RunSpec::default()
+        }
+        .run(&w)
+        .unwrap();
     }
 }
 
@@ -110,7 +109,7 @@ fn combined_elisions_pass_the_oracle() {
 #[test]
 fn entry_points_stable_across_pipeline() {
     for w in standard_suite() {
-        let (compiled, _) = compile_workload_with(&w, &PipelineConfig::new(OptMode::Full, 100));
+        let compiled = RunSpec::default().compile(&w.program).compiled;
         let name_before = w.program.method(w.entry).name.clone();
         let name_after = compiled.program.method(w.entry).name.clone();
         assert_eq!(name_before, name_after);
@@ -125,7 +124,7 @@ fn workloads_pass_the_full_verifier() {
     for w in standard_suite() {
         w.program.validate().unwrap();
         wbe_repro::ir::type_check_program(&w.program).unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        let (compiled, _) = compile_workload_with(&w, &PipelineConfig::new(OptMode::Full, 100));
+        let compiled = RunSpec::default().compile(&w.program).compiled;
         wbe_repro::ir::type_check_program(&compiled.program)
             .unwrap_or_else(|e| panic!("{} (inlined): {e}", w.name));
     }
@@ -137,18 +136,18 @@ fn workloads_pass_the_full_verifier() {
 #[test]
 fn elided_sites_are_potentially_pre_null() {
     for w in standard_suite() {
-        let iters = (w.default_iters / 10).max(64);
-        let run = run_workload(
-            &w,
-            OptMode::Full,
-            100,
-            iters,
-            BarrierMode::Checked,
-            MarkStyle::Satb,
-            None,
-        );
+        let run = RunSpec {
+            gc: None,
+            iterations: Iterations::Scaled {
+                scale: 0.1,
+                min: 64,
+            },
+            ..RunSpec::default()
+        }
+        .run(&w)
+        .unwrap();
         for ((mid, addr, _), site) in run.stats.barrier.iter() {
-            if run.elided.contains(*mid, *addr) {
+            if run.build.elided.contains(*mid, *addr) {
                 assert!(
                     site.potentially_pre_null(),
                     "{}: elided site {mid}@{addr} saw a non-null pre-value",

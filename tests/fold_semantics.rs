@@ -1,34 +1,42 @@
 //! Constant folding over the real workloads: semantics, verification,
 //! and elision soundness must all be preserved.
 
-use wbe_repro::harness::runner::compile_workload_with;
-use wbe_repro::interp::{BarrierConfig, BarrierMode, Interp, Value};
+use wbe_repro::harness::runner::{Iterations, RunSpec};
 use wbe_repro::opt::{OptMode, PipelineConfig};
 use wbe_repro::workloads::standard_suite;
+
+/// Mode A at inline limit 100, with or without post-inline folding.
+fn spec(fold: bool) -> RunSpec {
+    let mut pipeline = PipelineConfig::new(OptMode::Full, 100);
+    pipeline.fold = fold;
+    RunSpec {
+        pipeline,
+        gc: None,
+        ..RunSpec::default()
+    }
+}
 
 #[test]
 fn folding_preserves_workload_semantics_and_elision() {
     for w in standard_suite() {
-        let iters = (w.default_iters / 20).max(32);
         let run = |fold: bool| {
-            let mut cfg = PipelineConfig::new(OptMode::Full, 100);
-            cfg.fold = fold;
-            let (compiled, elided) = compile_workload_with(&w, &cfg);
-            compiled.program.validate().unwrap();
-            wbe_repro::ir::type_check_program(&compiled.program).unwrap();
-            let bc = BarrierConfig::with_elision(BarrierMode::Checked, elided);
-            let mut interp = Interp::new(&compiled.program, bc);
-            interp
-                .run(w.entry, &[Value::Int(iters)], w.fuel_for(iters))
-                .unwrap_or_else(|t| panic!("{} (fold={fold}): {t}", w.name));
+            let run = RunSpec {
+                iterations: Iterations::Scaled {
+                    scale: 0.05,
+                    min: 32,
+                },
+                ..spec(fold)
+            }
+            .run(&w)
+            .into_result()
+            .unwrap_or_else(|t| panic!("{} (fold={fold}): {t}", w.name));
+            let program = &run.build.compiled.program;
+            program.validate().unwrap();
+            wbe_repro::ir::type_check_program(program).unwrap();
             (
-                interp.heap.stats.allocations,
-                interp.heap.store.live_count(),
-                interp
-                    .stats
-                    .barrier
-                    .summarize(&interp.config().elided.clone())
-                    .total(),
+                run.heap.stats.allocations,
+                run.heap.store.live_count(),
+                run.summary().total(),
             )
         };
         let plain = run(false);
@@ -42,10 +50,8 @@ fn folding_preserves_workload_semantics_and_elision() {
 #[test]
 fn folding_shrinks_workload_code() {
     for w in standard_suite() {
-        let plain = compile_workload_with(&w, &PipelineConfig::new(OptMode::Full, 100)).0;
-        let mut cfg = PipelineConfig::new(OptMode::Full, 100);
-        cfg.fold = true;
-        let folded = compile_workload_with(&w, &cfg).0;
+        let plain = spec(false).compile(&w.program).compiled;
+        let folded = spec(true).compile(&w.program).compiled;
         assert!(
             folded.program.total_size() <= plain.program.total_size(),
             "{}",

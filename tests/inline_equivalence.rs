@@ -1,27 +1,34 @@
 //! Inlining must preserve workload semantics: runs at inline limit 0
 //! and 100 reach the same final heap, modulo GC scheduling.
 
-use wbe_repro::harness::runner::compile_workload_with;
+use wbe_repro::harness::runner::{Iterations, RunRecord, RunSpec};
 use wbe_repro::heap::debug;
-use wbe_repro::interp::{BarrierConfig, BarrierMode, Interp, Value};
 use wbe_repro::opt::{OptMode, PipelineConfig};
-use wbe_repro::workloads::standard_suite;
+use wbe_repro::workloads::{standard_suite, Workload};
+
+/// Runs `w` unanalysed, with the collector idle, at inline `limit`.
+fn run_at(w: &Workload, limit: usize) -> RunRecord {
+    RunSpec {
+        pipeline: PipelineConfig::new(OptMode::Baseline, limit),
+        gc: None,
+        iterations: Iterations::Scaled {
+            scale: 0.05,
+            min: 32,
+        },
+        ..RunSpec::default()
+    }
+    .run(w)
+    .into_result()
+    .unwrap_or_else(|t| panic!("{} @ limit {limit}: {t}", w.name))
+}
 
 #[test]
 fn inlining_preserves_workload_heaps() {
     for w in standard_suite() {
-        let iters = (w.default_iters / 20).max(32);
         let run = |limit: usize| {
-            let (compiled, _) =
-                compile_workload_with(&w, &PipelineConfig::new(OptMode::Baseline, limit));
-            let mut interp =
-                Interp::new(&compiled.program, BarrierConfig::new(BarrierMode::Checked));
-            interp
-                .run(w.entry, &[Value::Int(iters)], w.fuel_for(iters))
-                .unwrap_or_else(|t| panic!("{} @ limit {limit}: {t}", w.name));
-            let roots = interp.heap.static_roots();
-            let g = debug::graph_stats(&interp.heap, &roots);
-            (interp.heap.stats.allocations, g.reachable, g.max_depth)
+            let heap = run_at(&w, limit).heap;
+            let g = debug::graph_stats(&heap, &heap.static_roots());
+            (heap.stats.allocations, g.reachable, g.max_depth)
         };
         assert_eq!(run(0), run(100), "{}", w.name);
     }
@@ -32,21 +39,7 @@ fn inlining_preserves_barrier_execution_counts() {
     // Inlining changes *which site* executes a store, never whether it
     // executes: total dynamic barrier counts are invariant.
     for w in standard_suite() {
-        let iters = (w.default_iters / 20).max(32);
-        let count = |limit: usize| {
-            let (compiled, _) =
-                compile_workload_with(&w, &PipelineConfig::new(OptMode::Baseline, limit));
-            let mut interp =
-                Interp::new(&compiled.program, BarrierConfig::new(BarrierMode::Checked));
-            interp
-                .run(w.entry, &[Value::Int(iters)], w.fuel_for(iters))
-                .unwrap();
-            interp
-                .stats
-                .barrier
-                .summarize(&wbe_repro::interp::ElidedBarriers::new())
-                .total()
-        };
+        let count = |limit: usize| run_at(&w, limit).summary().total();
         assert_eq!(count(0), count(100), "{}", w.name);
         assert_eq!(count(25), count(200), "{}", w.name);
     }
