@@ -106,8 +106,8 @@ pub fn analyze_method(program: &Program, method: &Method) -> BoundsAnalysis {
     let config = AnalysisConfig::full();
     let ctx = MethodCtx::new(program, method, &config);
     // Degraded: every site keeps its bounds check (conservative).
-    let states = run_fixpoint(&ctx)
-        .map(|(s, _, _)| s)
+    let states = run_fixpoint(&ctx, None)
+        .map(|(s, _)| s)
         .unwrap_or_else(|_| vec![None; method.blocks.len()]);
     let mut out = BoundsAnalysis::default();
     for (bid, block) in method.iter_blocks() {

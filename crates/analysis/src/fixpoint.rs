@@ -249,13 +249,16 @@ fn judge_method(
     };
     let ctx = ctx;
 
-    // Final judgment pass over the fixed point.
+    // Final judgment pass over the fixed point. Blocks without a barrier
+    // site have no judgment to take.
     let mut elided = BTreeSet::new();
-    for (bid, block) in method.iter_blocks() {
-        let Some(entry) = &entry_states[bid.index()] else {
+    for ((bid, block), entry) in method.iter_blocks().zip(entry_states) {
+        let Some(mut st) = entry else {
             continue; // unreachable block: no judgments
         };
-        let mut st = entry.clone();
+        if !block.insns.iter().any(|i| is_barrier_site(program, i)) {
+            continue;
+        }
         for (idx, insn) in block.insns.iter().enumerate() {
             let judgment = transfer_insn(&mut st, &ctx, insn);
             if judgment == Some(true) {
@@ -267,25 +270,35 @@ fn judge_method(
 }
 
 /// Computes the fixed-point entry state of every reachable block — the
-/// white-box view used by the dump module, the §6 clients, and tests
-/// that follow the paper's §3.5 walkthrough.
+/// white-box view used by the §6 framework and by tests that follow the
+/// paper's §3.5 walkthrough. Honors the classic-escape ablation, like
+/// [`analyze_method`].
 pub fn entry_states(
     program: &Program,
     method: &Method,
     config: &AnalysisConfig,
 ) -> Vec<Option<AbsState>> {
-    let ctx = MethodCtx::new(program, method, config);
-    match run_fixpoint(&ctx) {
-        Ok((states, _, _)) => states,
-        // Degraded: no entry states are known; clients treat every
-        // block as unreachable-for-judgment (conservative).
-        Err(_) => vec![None; method.blocks.len()],
+    let mut ctx = MethodCtx::new(program, method, config);
+    solved_entry_states(&mut ctx, config.flow_sensitive_escape)
+}
+
+/// [`solve_method`]'s entry states, or none at all when it degraded:
+/// clients then treat every block as unreachable-for-judgment
+/// (conservative). Replays must use the solved `ctx`, which carries the
+/// classic-escape ablation's pinned references.
+pub(crate) fn solved_entry_states(
+    ctx: &mut MethodCtx<'_>,
+    flow_sensitive: bool,
+) -> Vec<Option<AbsState>> {
+    match solve_method(ctx, flow_sensitive) {
+        Solved::Converged { states, .. } => states,
+        Solved::Degraded { .. } => vec![None; ctx.method.blocks.len()],
     }
 }
 
-/// Successful fixpoint result: per-block entry states, the union of NL
-/// over every program point, and the iteration count.
-pub(crate) type FixpointResult = (Vec<Option<AbsState>>, BTreeSet<Ref>, usize);
+/// Successful fixpoint result: per-block entry states and the iteration
+/// count.
+pub(crate) type FixpointResult = (Vec<Option<AbsState>>, usize);
 
 /// A guardrail interruption, carrying whatever per-block entry states
 /// the driver had computed when it fired. The partial states are **not**
@@ -325,16 +338,17 @@ pub(crate) enum Solved {
 /// and the elision ledger so all three see identical states.
 pub(crate) fn solve_method(ctx: &mut MethodCtx<'_>, flow_sensitive: bool) -> Solved {
     if flow_sensitive {
-        match run_fixpoint(ctx) {
-            Ok((states, _, iterations)) => Solved::Converged { states, iterations },
+        match run_fixpoint(ctx, None) {
+            Ok((states, iterations)) => Solved::Converged { states, iterations },
             Err(d) => Solved::Degraded {
                 reason: d.reason,
                 partial: d.partial,
             },
         }
     } else {
-        let (_, nl_anywhere, it1) = match run_fixpoint(ctx) {
-            Ok(r) => r,
+        let mut nl_anywhere = BTreeSet::new();
+        let it1 = match run_fixpoint(ctx, Some(&mut nl_anywhere)) {
+            Ok((_, it1)) => it1,
             Err(d) => {
                 return Solved::Degraded {
                     reason: d.reason,
@@ -343,8 +357,8 @@ pub(crate) fn solve_method(ctx: &mut MethodCtx<'_>, flow_sensitive: bool) -> Sol
             }
         };
         ctx.pinned_nl = nl_anywhere;
-        match run_fixpoint(ctx) {
-            Ok((states, _, it2)) => Solved::Converged {
+        match run_fixpoint(ctx, None) {
+            Ok((states, it2)) => Solved::Converged {
                 states,
                 iterations: it1 + it2,
             },
@@ -356,11 +370,15 @@ pub(crate) fn solve_method(ctx: &mut MethodCtx<'_>, flow_sensitive: bool) -> Sol
     }
 }
 
-/// Worklist fixpoint. `extra_nl` (the classic-escape ablation) is merged
-/// into the entry NL. Returns per-block entry states, the union of NL
-/// over every program point (for the classic-escape ablation), and the
+/// Worklist fixpoint. `ctx.pinned_nl` (the classic-escape ablation) is
+/// merged into the entry NL. Returns per-block entry states and the
 /// iteration count — or the guardrail that fired, with partial states.
-pub(crate) fn run_fixpoint(ctx: &MethodCtx<'_>) -> Result<FixpointResult, FixpointDegrade> {
+/// When `nl_anywhere` is given, it collects the union of NL over every
+/// block exit, which the classic-escape ablation pins.
+pub(crate) fn run_fixpoint(
+    ctx: &MethodCtx<'_>,
+    mut nl_anywhere: Option<&mut BTreeSet<Ref>>,
+) -> Result<FixpointResult, FixpointDegrade> {
     let method = ctx.method;
     let nblocks = method.blocks.len();
     let rpo = cfg::reverse_postorder(method);
@@ -383,7 +401,6 @@ pub(crate) fn run_fixpoint(ctx: &MethodCtx<'_>) -> Result<FixpointResult, Fixpoi
 
     // Worklist keyed by RPO position for fast convergence.
     let mut worklist: BTreeSet<usize> = [0].into_iter().collect();
-    let mut nl_anywhere: BTreeSet<Ref> = BTreeSet::new();
     let mut iterations = 0usize;
     let mut state_merges = 0u64;
     let mut widenings = 0u64;
@@ -425,11 +442,23 @@ pub(crate) fn run_fixpoint(ctx: &MethodCtx<'_>) -> Result<FixpointResult, Fixpoi
             let _ = transfer_insn(&mut st, ctx, insn);
         }
         transfer_term(&mut st, &block.term);
-        nl_anywhere.extend(st.nl.iter().copied());
-        for succ in block.term.successors() {
+        if let Some(nl) = nl_anywhere.as_deref_mut() {
+            nl.extend(st.nl.iter().copied());
+        }
+        let mut succs = block.term.successors().peekable();
+        while let Some(succ) = succs.next() {
+            // The last successor takes the out-state; earlier ones copy it.
+            let last = succs.peek().is_none();
+            let out_state = |st: &mut AbsState| {
+                if last {
+                    std::mem::take(st)
+                } else {
+                    st.clone()
+                }
+            };
             let changed = match &mut entry_states[succ.index()] {
                 slot @ None => {
-                    *slot = Some(st.clone());
+                    *slot = Some(out_state(&mut st));
                     true
                 }
                 Some(existing) if incoming_edges[succ.index()] <= 1 => {
@@ -437,7 +466,7 @@ pub(crate) fn run_fixpoint(ctx: &MethodCtx<'_>) -> Result<FixpointResult, Fixpoi
                     if *existing == st {
                         false
                     } else {
-                        *existing = st.clone();
+                        *existing = out_state(&mut st);
                         true
                     }
                 }
@@ -457,7 +486,7 @@ pub(crate) fn run_fixpoint(ctx: &MethodCtx<'_>) -> Result<FixpointResult, Fixpoi
     wbe_telemetry::counter("analysis.fixpoint.blocks_processed").add(iterations as u64);
     wbe_telemetry::counter("analysis.state_merges").add(state_merges);
     wbe_telemetry::counter("analysis.widenings").add(widenings);
-    Ok((entry_states, nl_anywhere, iterations))
+    Ok((entry_states, iterations))
 }
 
 #[cfg(test)]

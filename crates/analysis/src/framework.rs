@@ -3,11 +3,13 @@
 //! information to inform subsequent compilation steps, of which SATB
 //! write barrier removal is just one."
 //!
-//! [`Framework`] computes each method's fixed point **once** and serves
-//! every client from it: barrier elision, null-or-same, bounds-check
-//! removal, and stack allocation. Clients replay the cached entry
-//! states instead of re-running the iteration, so adding a client costs
-//! one linear pass, not another fixpoint.
+//! [`Framework`] runs every client over one program: barrier elision,
+//! null-or-same, bounds-check removal, and stack allocation. Pre-null
+//! elision replays the method's fixed point (the same solve as
+//! [`analyze_method`](crate::analyze_method), classic-escape ablation
+//! included). The other clients still run their own fixpoints:
+//! null-or-same has a distinct domain, and bounds and stack allocation
+//! re-run the full-analysis fixpoint.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
@@ -15,7 +17,7 @@ use std::time::{Duration, Instant};
 use wbe_ir::{InsnAddr, MethodId, Program, SiteId};
 
 use crate::config::AnalysisConfig;
-use crate::fixpoint::entry_states;
+use crate::fixpoint::solved_entry_states;
 use crate::state::{AbsState, MethodCtx};
 use crate::transfer::{is_barrier_site, transfer_insn};
 use crate::{bounds, nullsame, stackalloc};
@@ -39,7 +41,7 @@ pub struct MethodInfo {
     pub alloc_sites: usize,
 }
 
-/// One shared fixed point, many clients.
+/// Per-method results of every §6 client.
 #[derive(Debug)]
 pub struct Framework {
     methods: BTreeMap<MethodId, MethodInfo>,
@@ -47,14 +49,14 @@ pub struct Framework {
 }
 
 impl Framework {
-    /// Analyzes every method of `program` once and derives all client
+    /// Analyzes every method of `program` and derives all client
     /// results.
     pub fn analyze(program: &Program, config: &AnalysisConfig) -> Framework {
         let start = Instant::now();
         let mut methods = BTreeMap::new();
         for (mid, method) in program.iter_methods() {
-            let ctx = MethodCtx::new(program, method, config);
-            let states = entry_states(program, method, config);
+            let mut ctx = MethodCtx::new(program, method, config);
+            let states = solved_entry_states(&mut ctx, config.flow_sensitive_escape);
             let mut info = MethodInfo::default();
 
             // Shared replay: pre-null judgments + site counting.
@@ -86,12 +88,8 @@ impl Framework {
                     }
                 }
             }
-            // The other clients run their own (linear or small) passes.
-            // null-or-same has a distinct domain, so it keeps its own
-            // fixpoint; bounds and stack allocation reuse this one's
-            // structure (their modules re-derive states, kept simple —
-            // the framework interface is the contract, the sharing an
-            // implementation detail that can deepen without API change).
+            // The other clients compute their own fixed points (see the
+            // module docs).
             info.null_or_same = nullsame::analyze_method(program, method);
             info.bounds_safe = bounds::analyze_method(program, method).safe;
             info.stack_allocatable = stackalloc::analyze_method(program, method).stack_allocatable;
@@ -181,6 +179,37 @@ mod tests {
         assert!(info.barrier_sites >= 3);
         assert!(!fw.all_elided().is_empty());
         assert!(!fw.all_stack_sites().is_empty());
+    }
+
+    /// The classic-escape ablation pins everything that escapes anywhere,
+    /// so a store before a later escape is not elidable. The framework
+    /// must honor the ablation exactly as `analyze_program` does.
+    #[test]
+    fn framework_honors_the_classic_escape_ablation() {
+        let mut pb = ProgramBuilder::new();
+        let c = pb.class("C");
+        let f = pb.field(c, "f", Ty::Ref(c));
+        let g = pb.static_field("g", Ty::Ref(c));
+        pb.method("pub", vec![Ty::Ref(c)], None, 1, |mb| {
+            let arg = mb.local(0);
+            let o = mb.local(1);
+            mb.new_object(c).store(o);
+            mb.load(o).load(arg).putfield(f); // before escape
+            mb.load(o).putstatic(g); // escape
+            mb.return_();
+        });
+        let p = pb.finish();
+        for flow_sensitive_escape in [true, false] {
+            let config = AnalysisConfig {
+                flow_sensitive_escape,
+                ..AnalysisConfig::full()
+            };
+            let fw = Framework::analyze(&p, &config);
+            let standalone = crate::analyze_program(&p, &config);
+            let expected = usize::from(flow_sensitive_escape);
+            assert_eq!(standalone.total_elided(), expected);
+            assert_eq!(fw.all_elided().len(), expected, "{config:?}");
+        }
     }
 
     #[test]

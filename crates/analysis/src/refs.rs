@@ -8,7 +8,6 @@
 //! argument's initial value, and [`Ref::Global`] collapses every object
 //! allocated outside the method and not passed to it.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use wbe_ir::SiteId;
@@ -57,24 +56,181 @@ impl fmt::Display for Ref {
     }
 }
 
+/// Refs a [`RefSet`] stores without a heap allocation. Most reference
+/// values the analysis meets hold one or two refs.
+const INLINE: usize = 3;
+
 /// A *RefVal*: the set of possible non-null referents of a value. The
 /// empty set means "known to contain only null" — the property barrier
 /// elision needs. Sets are may-information: larger is more conservative.
-pub type RefSet = BTreeSet<Ref>;
+///
+/// A sorted, duplicate-free sequence: up to three refs live inline, a
+/// larger set spills to a sorted `Vec`. Iteration follows `Ref`'s `Ord`
+/// order and `Debug` prints `{a, b}`, exactly as a `BTreeSet<Ref>` would
+/// (the ledger's fact strings and the state dump print sets this way).
+#[derive(Clone)]
+pub struct RefSet(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// `refs[..len]` is the set; the rest is unused.
+    Inline { len: u8, refs: [Ref; INLINE] },
+    /// Sorted and duplicate-free; may shrink back below `INLINE`.
+    Spilled(Vec<Ref>),
+}
+
+impl RefSet {
+    /// The empty set.
+    pub const fn new() -> RefSet {
+        RefSet(Repr::Inline {
+            len: 0,
+            refs: [Ref::Global; INLINE],
+        })
+    }
+
+    /// The members in ascending order.
+    pub fn as_slice(&self) -> &[Ref] {
+        match &self.0 {
+            Repr::Inline { len, refs } => &refs[..*len as usize],
+            Repr::Spilled(v) => v,
+        }
+    }
+
+    /// Iterates the members in ascending order.
+    pub fn iter(&self) -> std::slice::Iter<'_, Ref> {
+        self.as_slice().iter()
+    }
+
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        self.as_slice().len()
+    }
+
+    /// True for the definitely-null value.
+    pub fn is_empty(&self) -> bool {
+        self.as_slice().is_empty()
+    }
+
+    /// True if `r` is a member.
+    pub fn contains(&self, r: &Ref) -> bool {
+        self.as_slice().binary_search(r).is_ok()
+    }
+
+    /// Adds `r`; returns true if it was not already a member.
+    pub fn insert(&mut self, r: Ref) -> bool {
+        let Err(pos) = self.as_slice().binary_search(&r) else {
+            return false;
+        };
+        match &mut self.0 {
+            Repr::Inline { len, refs } if (*len as usize) < INLINE => {
+                let n = *len as usize;
+                refs.copy_within(pos..n, pos + 1);
+                refs[pos] = r;
+                *len += 1;
+            }
+            Repr::Inline { refs, .. } => {
+                let mut v = Vec::with_capacity(2 * INLINE);
+                v.extend_from_slice(&refs[..pos]);
+                v.push(r);
+                v.extend_from_slice(&refs[pos..]);
+                self.0 = Repr::Spilled(v);
+            }
+            Repr::Spilled(v) => v.insert(pos, r),
+        }
+        true
+    }
+
+    /// Removes `r`; returns true if it was a member.
+    pub fn remove(&mut self, r: &Ref) -> bool {
+        let Ok(pos) = self.as_slice().binary_search(r) else {
+            return false;
+        };
+        match &mut self.0 {
+            Repr::Inline { len, refs } => {
+                refs.copy_within(pos + 1..*len as usize, pos);
+                *len -= 1;
+            }
+            Repr::Spilled(v) => {
+                v.remove(pos);
+            }
+        }
+        true
+    }
+
+    /// The union of two sets.
+    pub fn union(&self, other: &RefSet) -> RefSet {
+        let (small, large) = if self.len() < other.len() {
+            (self, other)
+        } else {
+            (other, self)
+        };
+        let mut out = large.clone();
+        out.extend(small.iter().copied());
+        out
+    }
+}
+
+impl Default for RefSet {
+    fn default() -> Self {
+        RefSet::new()
+    }
+}
+
+impl PartialEq for RefSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for RefSet {}
+
+impl fmt::Debug for RefSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
+impl Extend<Ref> for RefSet {
+    fn extend<I: IntoIterator<Item = Ref>>(&mut self, iter: I) {
+        for r in iter {
+            self.insert(r);
+        }
+    }
+}
+
+impl FromIterator<Ref> for RefSet {
+    fn from_iter<I: IntoIterator<Item = Ref>>(iter: I) -> Self {
+        let mut s = RefSet::new();
+        s.extend(iter);
+        s
+    }
+}
+
+impl<'a> IntoIterator for &'a RefSet {
+    type Item = &'a Ref;
+    type IntoIter = std::slice::Iter<'a, Ref>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
 
 /// Returns the singleton member if `s` has exactly one element.
 pub fn singleton(s: &RefSet) -> Option<Ref> {
-    if s.len() == 1 {
-        s.iter().next().copied()
-    } else {
-        None
+    match s.as_slice() {
+        [r] => Some(*r),
+        _ => None,
     }
 }
 
 /// Substitutes `from → to` in a ref set (used when an allocation retires
-/// the previous `SiteA` into `SiteB`).
-pub fn subst(s: &RefSet, from: Ref, to: Ref) -> RefSet {
-    s.iter().map(|&r| if r == from { to } else { r }).collect()
+/// the previous `SiteA` into `SiteB`). Returns true if `from` occurred.
+pub fn subst(s: &mut RefSet, from: Ref, to: Ref) -> bool {
+    let hit = s.remove(&from);
+    if hit {
+        s.insert(to);
+    }
+    hit
 }
 
 #[cfg(test)]
@@ -105,9 +261,10 @@ mod tests {
     fn substitution() {
         let a = Ref::SiteA(SiteId(3));
         let b = Ref::SiteB(SiteId(3));
-        let s: RefSet = [a, Ref::Global].into_iter().collect();
-        let out = subst(&s, a, b);
-        assert!(out.contains(&b) && out.contains(&Ref::Global) && !out.contains(&a));
+        let mut s: RefSet = [a, Ref::Global].into_iter().collect();
+        assert!(subst(&mut s, a, b));
+        assert!(s.contains(&b) && s.contains(&Ref::Global) && !s.contains(&a));
+        assert!(!subst(&mut s, a, b), "no A left to rename");
     }
 
     #[test]

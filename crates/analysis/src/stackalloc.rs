@@ -67,7 +67,7 @@ fn peek(st: &AbsState, depth: usize) -> Option<&AbsValue> {
 pub fn analyze_method(program: &Program, method: &Method) -> StackAllocAnalysis {
     let config = AnalysisConfig::full();
     let ctx = MethodCtx::new(program, method, &config);
-    let Ok((states, _, _)) = run_fixpoint(&ctx) else {
+    let Ok((states, _)) = run_fixpoint(&ctx, None) else {
         // Degraded: conservatively, nothing is stack-allocatable.
         return StackAllocAnalysis {
             total_sites: ctx.sites.len(),

@@ -65,7 +65,7 @@ impl AbsValue {
         match (self, other) {
             (AbsValue::Bottom, x) | (x, AbsValue::Bottom) => x.clone(),
             (AbsValue::Any, _) | (_, AbsValue::Any) => AbsValue::Any,
-            (AbsValue::Refs(a), AbsValue::Refs(b)) => AbsValue::Refs(a.union(b).copied().collect()),
+            (AbsValue::Refs(a), AbsValue::Refs(b)) => AbsValue::Refs(a.union(b)),
             (AbsValue::Int(a), AbsValue::Int(b)) => AbsValue::Int(merge_intvals(a, b, ctx)),
             _ => AbsValue::Any,
         }
@@ -77,7 +77,7 @@ impl AbsValue {
         match (self, other) {
             (AbsValue::Bottom, x) | (x, AbsValue::Bottom) => x.clone(),
             (AbsValue::Any, _) | (_, AbsValue::Any) => AbsValue::Any,
-            (AbsValue::Refs(a), AbsValue::Refs(b)) => AbsValue::Refs(a.union(b).copied().collect()),
+            (AbsValue::Refs(a), AbsValue::Refs(b)) => AbsValue::Refs(a.union(b)),
             (AbsValue::Int(a), AbsValue::Int(b)) => {
                 if a == b {
                     AbsValue::Int(a.clone())
@@ -90,10 +90,9 @@ impl AbsValue {
     }
 
     /// Substitutes one abstract reference for another inside the value.
-    pub fn subst_ref(&self, from: Ref, to: Ref) -> AbsValue {
-        match self {
-            AbsValue::Refs(s) if s.contains(&from) => AbsValue::Refs(subst(s, from, to)),
-            _ => self.clone(),
+    pub fn subst_ref(&mut self, from: Ref, to: Ref) {
+        if let AbsValue::Refs(s) = self {
+            subst(s, from, to);
         }
     }
 }
@@ -133,6 +132,8 @@ pub struct MethodCtx<'p> {
     /// Guardrail: wall-clock budget and the absolute deadline derived
     /// from it at context construction.
     pub deadline: Option<(std::time::Instant, std::time::Duration)>,
+    /// Every abstract reference that can occur in this method.
+    universe: RefSet,
 }
 
 impl<'p> MethodCtx<'p> {
@@ -150,6 +151,16 @@ impl<'p> MethodCtx<'p> {
             .collect();
         sites.sort_unstable();
         sites.dedup();
+        let mut universe: RefSet = [Ref::Global].into_iter().collect();
+        for (i, ty) in method.sig.params.iter().enumerate() {
+            if ty.is_ref_like() {
+                universe.insert(Ref::Arg(i as u16));
+            }
+        }
+        for &s in &sites {
+            universe.insert(Ref::SiteA(s));
+            universe.insert(Ref::SiteB(s));
+        }
         MethodCtx {
             program,
             method,
@@ -165,6 +176,7 @@ impl<'p> MethodCtx<'p> {
             deadline: config
                 .time_budget
                 .map(|b| (std::time::Instant::now() + b, b)),
+            universe,
         }
     }
 
@@ -179,19 +191,9 @@ impl<'p> MethodCtx<'p> {
     }
 
     /// Every abstract reference that can occur in this method — the
-    /// concretization of `Any`.
-    pub fn universe(&self) -> Vec<Ref> {
-        let mut u = vec![Ref::Global];
-        for (i, ty) in self.method.sig.params.iter().enumerate() {
-            if ty.is_ref_like() {
-                u.push(Ref::Arg(i as u16));
-            }
-        }
-        for &s in &self.sites {
-            u.push(Ref::SiteA(s));
-            u.push(Ref::SiteB(s));
-        }
-        u
+    /// concretization of `Any`. Computed once per context.
+    pub fn universe(&self) -> &RefSet {
+        &self.universe
     }
 
     /// The constant unknown for integer argument `i`'s initial value.
@@ -438,68 +440,54 @@ impl AbsState {
         let mut mctx = MergeCtx::new(alloc, widen || !ctx.stride_inference);
         let mut changed = false;
 
-        for i in 0..self.locals.len() {
-            let merged = self.locals[i].merge(&incoming.locals[i], &mut mctx);
-            if merged != self.locals[i] {
-                self.locals[i] = merged;
-                changed = true;
-            }
-        }
-        for i in 0..self.stack.len() {
-            let merged = self.stack[i].merge(&incoming.stack[i], &mut mctx);
-            if merged != self.stack[i] {
-                self.stack[i] = merged;
-                changed = true;
+        let slots = self.locals.iter_mut().zip(&incoming.locals);
+        for (mine, theirs) in slots.chain(self.stack.iter_mut().zip(&incoming.stack)) {
+            if mine != theirs {
+                let merged = mine.merge(theirs, &mut mctx);
+                if merged != *mine {
+                    *mine = merged;
+                    changed = true;
+                }
             }
         }
         let nl_before = self.nl.len();
         self.nl.extend(incoming.nl.iter().copied());
         changed |= self.nl.len() != nl_before;
 
-        // σ: union of keys; absent = default.
-        let keys: BTreeSet<(Ref, FieldKey)> = self
-            .sigma
-            .keys()
-            .chain(incoming.sigma.keys())
-            .copied()
-            .collect();
-        for (r, key) in keys {
-            let a = self.sigma_raw(ctx, r, key);
-            let b = incoming.sigma_raw(ctx, r, key);
-            let merged = a.merge(&b, &mut mctx);
-            if merged != a {
-                changed = true;
-            }
-            self.sigma_set(ctx, r, key, merged);
+        // σ: absent = default.
+        let updates = merge_join(
+            &self.sigma,
+            &incoming.sigma,
+            |(r, key)| ctx.sigma_default(r, key),
+            |a, b| a.merge(b, &mut mctx),
+        );
+        changed |= !updates.is_empty();
+        for ((r, key), v) in updates {
+            self.sigma_set(ctx, r, key, v);
         }
 
         // Len: absent = ⊤.
-        let keys: BTreeSet<Ref> = self
-            .len
-            .keys()
-            .chain(incoming.len.keys())
-            .copied()
-            .collect();
-        for r in keys {
-            let a = self.len_lookup(r);
-            let b = incoming.len_lookup(r);
-            let merged = merge_intvals(&a, &b, &mut mctx);
-            if merged != a {
-                changed = true;
-            }
-            self.len_set(r, merged);
+        let updates = merge_join(
+            &self.len,
+            &incoming.len,
+            |_| IntLat::Top,
+            |a, b| merge_intvals(a, b, &mut mctx),
+        );
+        changed |= !updates.is_empty();
+        for (r, v) in updates {
+            self.len_set(r, v);
         }
 
         // NR: absent = empty.
-        let keys: BTreeSet<Ref> = self.nr.keys().chain(incoming.nr.keys()).copied().collect();
-        for r in keys {
-            let a = self.nr_lookup(r);
-            let b = incoming.nr_lookup(r);
-            let merged = a.merge(&b, &mut mctx);
-            if merged != a {
-                changed = true;
-            }
-            self.nr_set(r, merged);
+        let updates = merge_join(
+            &self.nr,
+            &incoming.nr,
+            |_| IntRange::Empty,
+            |a, b| a.merge(b, &mut mctx),
+        );
+        changed |= !updates.is_empty();
+        for (r, v) in updates {
+            self.nr_set(r, v);
         }
         changed
     }
@@ -510,37 +498,31 @@ impl AbsState {
         let a = Ref::SiteA(site);
         let b = Ref::SiteB(site);
         for v in self.locals.iter_mut().chain(self.stack.iter_mut()) {
-            *v = v.subst_ref(a, b);
+            v.subst_ref(a, b);
         }
         // replS on NL.
         if self.nl.remove(&a) {
             self.nl.insert(b);
         }
-        // transfer on σ: move/merge A's entries into B's, substituting in
-        // values everywhere.
-        let old = std::mem::take(&mut self.sigma);
-        let mut merged_entries: BTreeMap<(Ref, FieldKey), AbsValue> = BTreeMap::new();
-        for ((r, key), v) in old {
-            let r2 = if r == a { b } else { r };
-            let v2 = v.subst_ref(a, b);
-            match merged_entries.entry((r2, key)) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(v2);
-                }
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    let m = e.get().merge_plain(&v2);
-                    e.insert(m);
-                }
-            }
+        // transfer on σ: substitute in values everywhere, then move A's
+        // entries into B's, merging where B already has one. Keys other
+        // than A's are untouched, and a renamed value never equals its
+        // key's default, so σ stays canonical without a rebuild.
+        for v in self.sigma.values_mut() {
+            v.subst_ref(a, b);
         }
-        // If only one of (A,key)/(B,key) existed, the move must still
-        // merge with the *default* of the absent side. Site defaults are
-        // identical for A and B (allocation-zeroed), so a moved A entry
-        // merged with B's default equals merge_plain(v, default); handle
-        // by merging with default when the key changed owners.
-        self.sigma = BTreeMap::new();
-        for ((r, key), v) in merged_entries {
-            self.sigma_set(ctx, r, key, v);
+        let a_keys: Vec<FieldKey> = self
+            .sigma
+            .range((a, FieldKey::Field(FieldId(0)))..)
+            .map_while(|(&(r, key), _)| (r == a).then_some(key))
+            .collect();
+        for key in a_keys {
+            let va = self.sigma.remove(&(a, key)).expect("key listed above");
+            let merged = match self.sigma.get(&(b, key)) {
+                Some(vb) => va.merge_plain(vb),
+                None => va,
+            };
+            self.sigma_set(ctx, b, key, merged);
         }
 
         // Len / NR: A's info merges into B's conservative default
@@ -564,6 +546,55 @@ impl AbsState {
             self.nr_set(b, merged);
         }
     }
+}
+
+/// Merge-join of two canonical maps, walking both in key order. Returns
+/// the entries of `mine` the merge changes, as `(key, merged)`. An absent
+/// entry reads as `default(key)`. `merge(mine, theirs)` runs once per key
+/// whose two sides differ, in ascending key order — the order in which
+/// the stride merge allocates its variables. Merging two equal values is
+/// the identity and touches no merge context, so equal pairs (and equal
+/// maps) are skipped.
+fn merge_join<K: Ord + Copy, V: PartialEq>(
+    mine: &BTreeMap<K, V>,
+    theirs: &BTreeMap<K, V>,
+    default: impl Fn(K) -> V,
+    mut merge: impl FnMut(&V, &V) -> V,
+) -> Vec<(K, V)> {
+    use std::cmp::Ordering;
+    let mut updates = Vec::new();
+    if mine == theirs {
+        return updates;
+    }
+    let (mut a, mut b) = (mine.iter().peekable(), theirs.iter().peekable());
+    loop {
+        let order = match (a.peek(), b.peek()) {
+            (None, None) => break,
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (Some((ka, _)), Some((kb, _))) => ka.cmp(kb),
+        };
+        let update = match order {
+            Ordering::Less => {
+                let (&k, va) = a.next().expect("peeked");
+                let m = merge(va, &default(k));
+                (m != *va).then_some((k, m))
+            }
+            Ordering::Greater => {
+                let (&k, vb) = b.next().expect("peeked");
+                let d = default(k);
+                let m = merge(&d, vb);
+                (m != d).then_some((k, m))
+            }
+            Ordering::Equal => {
+                let ((&k, va), (_, vb)) = (a.next().expect("peeked"), b.next().expect("peeked"));
+                let m = (va != vb).then(|| merge(va, vb));
+                m.filter(|m| m != va).map(|m| (k, m))
+            }
+        };
+        updates.extend(update);
+    }
+    updates
 }
 
 #[cfg(test)]
@@ -699,6 +730,45 @@ mod tests {
     }
 
     #[test]
+    fn merge_reads_one_sided_entries_as_defaults() {
+        let p = simple_program();
+        let m = p.method(MethodId(1));
+        let ctx = MethodCtx::new(&p, m, &AnalysisConfig::default());
+        let mut alloc = VarAlloc::new();
+        let a = Ref::SiteA(wbe_ir::SiteId(0));
+        let (f, g) = (FieldKey::Field(FieldId(0)), FieldKey::Field(FieldId(1)));
+        let base = AbsState::entry(&ctx);
+
+        // A ref entry on one side unions with the other side's null
+        // default: nothing changes.
+        let mut s1 = base.clone();
+        s1.sigma_set(&ctx, a, f, AbsValue::single(Ref::Arg(0)));
+        let before = s1.clone();
+        assert!(!s1.merge_from(&base, &ctx, &mut alloc, true));
+        assert_eq!(s1, before);
+
+        // An int entry on either side meets the other side's 0: widened
+        // to ⊤, whichever side held it.
+        let mut s1 = base.clone();
+        s1.sigma_set(&ctx, a, g, AbsValue::int(5));
+        assert!(s1.merge_from(&base, &ctx, &mut alloc, true));
+        assert_eq!(s1.sigma_raw(&ctx, a, g), AbsValue::Int(IntLat::Top));
+        let mut s2 = base.clone();
+        s2.sigma_set(&ctx, a, g, AbsValue::int(7));
+        let mut s1 = base.clone();
+        assert!(s1.merge_from(&s2, &ctx, &mut alloc, true));
+        assert_eq!(s1.sigma_raw(&ctx, a, g), AbsValue::Int(IntLat::Top));
+
+        // Len: a one-sided length meets ⊤; NR: a one-sided range meets
+        // empty. Both drop out of the canonical maps.
+        let mut s1 = base.clone();
+        s1.len_set(a, IntLat::constant(4));
+        s1.nr_set(a, IntRange::From(IntVal::constant(0)));
+        assert!(s1.merge_from(&base, &ctx, &mut alloc, false));
+        assert!(!s1.len.contains_key(&a) && !s1.nr.contains_key(&a));
+    }
+
+    #[test]
     fn merge_type_confusion_goes_to_any() {
         let p = simple_program();
         let m = p.method(MethodId(1));
@@ -742,6 +812,33 @@ mod tests {
         assert_eq!(st.len_lookup(b), IntLat::Top);
         assert_eq!(st.nr_lookup(b), IntRange::Empty);
         assert!(!st.len.contains_key(&a) && !st.nr.contains_key(&a));
+    }
+
+    #[test]
+    fn retire_site_merges_a_into_existing_b_entries() {
+        let p = simple_program();
+        let m = p.method(MethodId(1));
+        let ctx = MethodCtx::new(&p, m, &AnalysisConfig::default());
+        let (s0, s1) = (wbe_ir::SiteId(0), wbe_ir::SiteId(1));
+        let (a, b, other) = (Ref::SiteA(s0), Ref::SiteB(s0), Ref::SiteA(s1));
+        let (f, g) = (FieldKey::Field(FieldId(0)), FieldKey::Field(FieldId(1)));
+        let mut st = AbsState::entry(&ctx);
+        st.sigma_set(&ctx, a, f, AbsValue::single(a));
+        st.sigma_set(&ctx, b, f, AbsValue::single(Ref::Arg(0)));
+        st.sigma_set(&ctx, a, g, AbsValue::int(3));
+        st.sigma_set(&ctx, b, g, AbsValue::int(4));
+        st.sigma_set(&ctx, other, f, AbsValue::Refs([a, b].into_iter().collect()));
+        st.retire_site(&ctx, s0);
+        let expect = |refs: &[Ref]| AbsValue::Refs(refs.iter().copied().collect());
+        assert_eq!(st.sigma_raw(&ctx, b, f), expect(&[Ref::Arg(0), b]));
+        assert_eq!(st.sigma_raw(&ctx, b, g), AbsValue::Int(IntLat::Top));
+        assert_eq!(st.sigma_raw(&ctx, other, f), expect(&[b]));
+        assert_eq!(st.sigma.len(), 3, "A's entries are gone: {:?}", st.sigma);
+
+        // Retiring a site that σ never mentions leaves σ as it was.
+        let before = st.sigma.clone();
+        st.retire_site(&ctx, wbe_ir::SiteId(7));
+        assert_eq!(st.sigma, before);
     }
 
     #[test]

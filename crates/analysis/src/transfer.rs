@@ -26,10 +26,10 @@ fn push(st: &mut AbsState, v: AbsValue) {
 /// Coerces a slot to a reference set. `Any`/`Bottom` become the universe
 /// (which contains `Global ∈ NL`, so everything downstream is
 /// conservative).
-fn as_refs(v: &AbsValue, ctx: &MethodCtx<'_>) -> RefSet {
+fn as_refs<'a>(v: &'a AbsValue, ctx: &'a MethodCtx<'_>) -> &'a RefSet {
     match v {
-        AbsValue::Refs(s) => s.clone(),
-        AbsValue::Int(_) | AbsValue::Any | AbsValue::Bottom => ctx.universe().into_iter().collect(),
+        AbsValue::Refs(s) => s,
+        AbsValue::Int(_) | AbsValue::Any | AbsValue::Bottom => ctx.universe(),
     }
 }
 
@@ -45,7 +45,7 @@ fn as_int(v: &AbsValue) -> IntLat {
 /// reference-ness, so σ stays well-typed.
 fn normalize_store(v: &AbsValue, is_ref: bool, ctx: &MethodCtx<'_>) -> AbsValue {
     if is_ref {
-        AbsValue::Refs(as_refs(v, ctx))
+        AbsValue::Refs(as_refs(v, ctx).clone())
     } else {
         AbsValue::Int(as_int(v))
     }
@@ -60,8 +60,16 @@ fn escape_if_receiver_escaped(
     val: &AbsValue,
 ) {
     if receivers.iter().any(|r| st.nl.contains(r)) {
-        let vals = as_refs(val, ctx);
-        st.escape(ctx, &vals);
+        st.escape(ctx, as_refs(val, ctx));
+    }
+}
+
+/// Folds one receiver's loaded value into a load's result (`merge_plain`,
+/// whose identity is `Bottom`).
+fn merge_loaded(out: AbsValue, v: AbsValue) -> AbsValue {
+    match out {
+        AbsValue::Bottom => v,
+        out => out.merge_plain(&v),
     }
 }
 
@@ -172,8 +180,8 @@ pub fn transfer_insn(st: &mut AbsState, ctx: &MethodCtx<'_>, insn: &Insn) -> Bar
             let objs = as_refs(&obj, ctx);
             let key = FieldKey::Field(f);
             let mut out = AbsValue::Bottom;
-            for &ot in &objs {
-                out = out.merge_plain(&st.sigma_lookup(ctx, ot, key));
+            for &ot in objs {
+                out = merge_loaded(out, st.sigma_lookup(ctx, ot, key));
             }
             if objs.is_empty() {
                 // Receiver is definitely null: the load traps; any value
@@ -206,14 +214,14 @@ pub fn transfer_insn(st: &mut AbsState, ctx: &MethodCtx<'_>, insn: &Insn) -> Bar
             };
 
             let stored = normalize_store(&val, is_ref, ctx);
-            match singleton(&objs) {
+            match singleton(objs) {
                 Some(r) if ctx.is_unique(r) && !st.nl.contains(&r) => {
                     // Strong update: the unique receiver's field is
                     // exactly the stored value now.
                     st.sigma_set(ctx, r, key, stored);
                 }
                 _ => {
-                    for &ot in &objs {
+                    for &ot in objs {
                         if st.nl.contains(&ot) {
                             continue; // lookups ignore σ for escaped refs
                         }
@@ -222,7 +230,7 @@ pub fn transfer_insn(st: &mut AbsState, ctx: &MethodCtx<'_>, insn: &Insn) -> Bar
                     }
                 }
             }
-            escape_if_receiver_escaped(st, ctx, &objs, &val);
+            escape_if_receiver_escaped(st, ctx, objs, &val);
             judgment
         }
         Insn::GetStatic(s) => {
@@ -241,8 +249,7 @@ pub fn transfer_insn(st: &mut AbsState, ctx: &MethodCtx<'_>, insn: &Insn) -> Bar
             let val = pop(st);
             // Reference values stored into statics escape, transitively.
             if !matches!(val, AbsValue::Int(_)) {
-                let vals = as_refs(&val, ctx);
-                st.escape(ctx, &vals);
+                st.escape(ctx, as_refs(&val, ctx));
             }
             None
         }
@@ -251,8 +258,8 @@ pub fn transfer_insn(st: &mut AbsState, ctx: &MethodCtx<'_>, insn: &Insn) -> Bar
             let arr = pop(st);
             let arrs = as_refs(&arr, ctx);
             let mut out = AbsValue::Bottom;
-            for &at in &arrs {
-                out = out.merge_plain(&st.sigma_lookup(ctx, at, FieldKey::Elems));
+            for &at in arrs {
+                out = merge_loaded(out, st.sigma_lookup(ctx, at, FieldKey::Elems));
             }
             if arrs.is_empty() {
                 out = AbsValue::null();
@@ -279,7 +286,7 @@ pub fn transfer_insn(st: &mut AbsState, ctx: &MethodCtx<'_>, insn: &Insn) -> Bar
 
             // Array element writes are always weak updates (§2.4).
             let stored = normalize_store(&val, true, ctx);
-            for &at in &arrs {
+            for &at in arrs {
                 if !st.nl.contains(&at) {
                     let merged = st.sigma_raw(ctx, at, FieldKey::Elems).merge_plain(&stored);
                     st.sigma_set(ctx, at, FieldKey::Elems, merged);
@@ -289,7 +296,7 @@ pub fn transfer_insn(st: &mut AbsState, ctx: &MethodCtx<'_>, insn: &Insn) -> Bar
                     st.nr_set(at, contracted);
                 }
             }
-            escape_if_receiver_escaped(st, ctx, &arrs, &val);
+            escape_if_receiver_escaped(st, ctx, arrs, &val);
             judgment
         }
         Insn::IaLoad => {
@@ -308,7 +315,7 @@ pub fn transfer_insn(st: &mut AbsState, ctx: &MethodCtx<'_>, insn: &Insn) -> Bar
             let arr = pop(st);
             let arrs = as_refs(&arr, ctx);
             let mut out: Option<IntLat> = None;
-            for &at in &arrs {
+            for &at in arrs {
                 let l = st.len_lookup(at);
                 out = Some(match out {
                     None => l,
@@ -352,7 +359,7 @@ pub fn transfer_insn(st: &mut AbsState, ctx: &MethodCtx<'_>, insn: &Insn) -> Bar
             for _ in 0..sig.params.len() {
                 let v = pop(st);
                 if !matches!(v, AbsValue::Int(_)) {
-                    escaping.extend(as_refs(&v, ctx));
+                    escaping.extend(as_refs(&v, ctx).iter().copied());
                 }
             }
             // nAllNonTL: every reference argument escapes (no
